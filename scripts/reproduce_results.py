@@ -30,20 +30,6 @@ def word_text(word):
     return "[" + ",".join(str(u) for u in word) + "]"
 
 
-def witness_payloads(verdict):
-    kind = verdict.kind
-    if kind is ObservabilityType.TYPE_I and verdict.observable:
-        return [(state, word) for state, word in sorted(verdict.determining.items())]
-    if kind is ObservabilityType.TYPE_II and verdict.observable:
-        return [(tuple(pair), word) for pair, word in sorted(verdict.distinguishing.items())]
-    if kind is ObservabilityType.TYPE_III and verdict.observable:
-        return [verdict.universal_word]
-    if kind is ObservabilityType.TYPE_IV and not verdict.observable:
-        lasso = verdict.lasso
-        return [(tuple(lasso.source), lasso.prefix, lasso.cycle)]
-    return []
-
-
 def run_fixture(path):
     document = load_document(path)
     network = document_to_bcn(document)
@@ -67,7 +53,7 @@ def run_fixture(path):
         print(f"   type {kind.value:>3}: observable={flag:<3}"
               f" decided in {decided_ms:.2f} ms,"
               f" oracle at horizon {oracle.horizon} {'agrees' if agrees else 'DISAGREES'}")
-        for payload in witness_payloads(verdict):
+        for payload in verdict.witness_payloads():
             ok = verify_witness(network, kind, payload)
             failures += 0 if ok else 1
             if kind is ObservabilityType.TYPE_IV:

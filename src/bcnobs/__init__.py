@@ -12,14 +12,13 @@ command line.
 from .automata import (
     Dfa,
     Lasso,
-    accepts,
-    has_reachable_cycle,
+    find_lasso,
     is_complete,
     shortest_undefined_word,
     subset_automaton,
     vertex_automaton,
 )
-from .bcn import Bcn, bcn_from_columns, output, step, trajectory
+from .bcn import Bcn, bcn_from_columns, output, step
 from .bcnio import (
     BcnDocument,
     DocumentError,
@@ -54,24 +53,14 @@ from .oracle import (
     distinguishes,
     verify_witness,
 )
-from .pairgraph import (
-    PairGraph,
-    PairVertex,
-    make_pair,
-    non_diagonal_vertices,
-    pair_successor,
-    reachable_subgraph,
-)
+from .pairgraph import PairGraph, PairVertex, non_diagonal_vertices
 from .pairgraph import build as build_pair_graph
 from .stp import (
     LogicalMatrix,
     bool_tuple_index,
     from_truth_table,
     index_to_bool_tuple,
-    logical_stp,
     reorder_columns,
-    stp,
-    swap_matrix,
 )
 
 __all__ = [
@@ -89,7 +78,6 @@ __all__ = [
     "PairGraph",
     "PairVertex",
     "Verdict",
-    "accepts",
     "bcn_from_columns",
     "bool_tuple_index",
     "brute_force",
@@ -103,31 +91,24 @@ __all__ = [
     "distinguishes",
     "document_to_bcn",
     "emit_dot",
+    "find_lasso",
     "exact_oracle_horizon",
     "from_truth_table",
     "gen_random_bcn",
-    "has_reachable_cycle",
     "implication_matrix",
     "index_to_bool_tuple",
     "is_complete",
     "load_bcn",
     "load_document",
-    "logical_stp",
-    "make_pair",
     "non_diagonal_vertices",
     "output",
-    "pair_successor",
     "parse_bcn",
     "parse_document",
-    "reachable_subgraph",
     "reorder_columns",
     "serialize_document",
     "shortest_undefined_word",
     "step",
-    "stp",
     "subset_automaton",
-    "swap_matrix",
-    "trajectory",
     "type_automata",
     "verify_witness",
     "vertex_automaton",

@@ -1,20 +1,28 @@
-"""Finite automata built over the pair graph.
+"""Finite automata and graph searches over the pair graph.
 
 All machines here are partial DFAs over the input alphabet 1..n_inputs in
 which every state is accepting: a word is rejected only by running off the
 defined transitions.  Completeness of such a machine is therefore the same
 as accepting every word.
+
+The searches for types II and IV run on the pair graph's id arrays:
+distances computed backwards from a goal, then the least input lowering the
+distance at each step, which spells the least shortest word.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, NamedTuple, Optional
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional
 
-from .pairgraph import PairGraph, PairVertex, _reachable
+import numpy as np
+
+from .pairgraph import PairGraph, PairVertex
 
 Word = tuple[int, ...]
+
+UNREACHED = 1 << 62  # distance of a pair that cannot reach the goal
 
 
 @dataclass(frozen=True)
@@ -22,9 +30,10 @@ class Dfa:
     """Partial deterministic automaton with every state accepting.
 
     State payloads are ascending PairVertex tuples for subset machines and
-    bare PairVertex values for single-pair machines; identity is payload
-    equality.  states is in breadth-first discovery order from the initial
-    state, so every listed state is reachable.
+    bare PairVertex values for single-pair machines (ascending pair-id
+    tuples inside the deciders); identity is payload equality.  states is
+    in breadth-first discovery order from the initial state, so every
+    listed state is reachable.
     """
 
     alphabet_size: int
@@ -34,20 +43,16 @@ class Dfa:
     finals: frozenset
 
 
-def subset_automaton(graph: PairGraph, initial_vertices: Iterable[PairVertex]) -> Dfa:
-    """Determinised reachability machine of the pair graph.
+def subset_automaton_ids(graph: PairGraph, seed: Iterable[int]) -> Dfa:
+    """Determinised reachability machine of the pair graph, over pair ids.
 
-    States are the nonempty vertex subsets reachable from the seed set;
-    input j sends a subset to the set of j-successors of its members, and
-    the transition is left undefined when that set is empty.
+    States are the nonempty id subsets reachable from the seed set, as
+    ascending tuples; input j sends a subset to the set of j-successors of
+    its members, and the transition is left undefined when that set is
+    empty.
     """
-    seed = frozenset(initial_vertices)
-    if not seed:
-        raise ValueError("initial vertex set is empty")
-    stray = seed - graph.vertices
-    if stray:
-        raise ValueError(f"not pair-graph vertices: {sorted(stray)}")
-    initial = tuple(sorted(seed))
+    rows = graph.rows
+    initial = tuple(sorted(set(seed)))
     states = [initial]
     seen = {initial}
     transitions: dict[Hashable, dict[int, Hashable]] = {}
@@ -55,12 +60,9 @@ def subset_automaton(graph: PairGraph, initial_vertices: Iterable[PairVertex]) -
     while queue:
         subset = queue.popleft()
         row: dict[int, Hashable] = {}
-        for letter in range(1, graph.n_inputs + 1):
-            targets = {
-                graph.successor[v][letter]
-                for v in subset
-                if letter in graph.successor[v]
-            }
+        for letter, step in enumerate(rows, 1):
+            targets = {step[p] for p in subset}
+            targets.discard(-1)
             if not targets:
                 continue
             successor = tuple(sorted(targets))
@@ -73,25 +75,33 @@ def subset_automaton(graph: PairGraph, initial_vertices: Iterable[PairVertex]) -
     return Dfa(graph.n_inputs, tuple(states), initial, transitions, frozenset(states))
 
 
+def _relabel(dfa: Dfa, name: Callable[[Hashable], Hashable]) -> Dfa:
+    names = {state: name(state) for state in dfa.states}
+    transitions = {
+        names[state]: {letter: names[t] for letter, t in row.items()}
+        for state, row in dfa.transitions.items()
+    }
+    states = tuple(names[state] for state in dfa.states)
+    return Dfa(dfa.alphabet_size, states, names[dfa.initial], transitions, frozenset(states))
+
+
+def subset_automaton(graph: PairGraph, initial_vertices: Iterable[PairVertex]) -> Dfa:
+    """subset_automaton_ids with PairVertex payloads, seeded by vertices."""
+    seed = set(initial_vertices)
+    if not seed:
+        raise ValueError("initial vertex set is empty")
+    pairs = graph.pairs
+    dfa = subset_automaton_ids(graph, graph.ids(seed))
+    return _relabel(dfa, lambda subset: tuple(pairs[p] for p in subset))
+
+
 def vertex_automaton(graph: PairGraph, start: PairVertex) -> Dfa:
-    """The part of the pair graph reachable from one vertex, read as a DFA."""
+    """The part of the pair graph reachable from one vertex, read as a DFA
+    (the subset machine seeded with it, whose states are all singletons)."""
     if start not in graph.vertices:
         raise ValueError(f"{start} is not a vertex of this pair graph")
-    states = [start]
-    seen = {start}
-    transitions: dict[Hashable, dict[int, Hashable]] = {}
-    queue = deque([start])
-    while queue:
-        vertex = queue.popleft()
-        row = dict(graph.successor[vertex])
-        transitions[vertex] = row
-        for letter in sorted(row):
-            target = row[letter]
-            if target not in seen:
-                seen.add(target)
-                states.append(target)
-                queue.append(target)
-    return Dfa(graph.n_inputs, tuple(states), start, transitions, frozenset(states))
+    pairs = graph.pairs
+    return _relabel(subset_automaton_ids(graph, graph.ids([start])), lambda s: pairs[s[0]])
 
 
 def is_complete(dfa: Dfa) -> bool:
@@ -122,21 +132,97 @@ def shortest_undefined_word(dfa: Dfa) -> Optional[Word]:
     return None
 
 
-def accepts(dfa: Dfa, word: Iterable[int]) -> bool:
-    """Run a word from the initial state.
+def _distances(graph: PairGraph, goals: np.ndarray, first: int) -> np.ndarray:
+    """Per pair, first plus the length of a shortest walk into the goals;
+    UNREACHED when there is none.  Breadth-first over reversed edges, one
+    level at a time."""
+    offsets, sources = graph.reverse
+    dist = np.full(graph.n_pairs, UNREACHED, dtype=np.int64)
+    dist[goals] = first
+    slot = np.empty(graph.n_pairs, dtype=np.int64)
+    frontier, level = goals, first
+    while frontier.size:
+        level += 1
+        begin = offsets[frontier]
+        count = offsets[frontier + 1] - begin
+        spans = np.repeat(begin - (np.cumsum(count) - count), count)
+        found = sources[spans + np.arange(spans.size)]
+        found = found[dist[found] == UNREACHED]
+        # keep each pair once: of its copies, only the one whose position
+        # the scatter left in its slot survives
+        slot[found] = np.arange(found.size)
+        frontier = found[slot[found] == np.arange(found.size)]
+        dist[frontier] = level
+    return dist
 
-    True when every step is defined and the run ends in an accepting state;
-    with all states accepting this means the word never ran off the map.
-    """
-    state = dfa.initial
-    for letter in word:
-        if not 1 <= letter <= dfa.alphabet_size:
-            raise ValueError(f"letter {letter} outside 1..{dfa.alphabet_size}")
-        row = dfa.transitions[state]
-        if letter not in row:
-            return False
-        state = row[letter]
-    return state in dfa.finals
+
+def _shortest_words(graph: PairGraph, dist: np.ndarray, exit_dist: int) -> list:
+    """Per pair, the lexicographically least word that lowers dist to 0
+    one step per letter (leaving the graph counts as reaching exit_dist);
+    None for unreached pairs.  A pair's word is its least input lowering
+    dist by one, then the word of the pair that input leads to."""
+    after = np.where(graph.succ >= 0, dist[graph.succ], exit_dist)
+    letter = np.argmax(after == dist - 1, axis=0) + 1
+    target = graph.succ[letter - 1, np.arange(graph.n_pairs)]
+    reached = np.flatnonzero(dist < UNREACHED)
+    order = reached[np.argsort(dist[reached], kind="stable")]
+    words: list[Optional[Word]] = [None] * graph.n_pairs
+    steps = zip(order.tolist(), dist[order].tolist(), letter[order].tolist(), target[order].tolist())
+    for p, d, u, q in steps:
+        words[p] = () if d == 0 else (u,) + (words[q] if q >= 0 else ())
+    return words
+
+
+def shortest_exit_words(graph: PairGraph) -> list[Optional[Word]]:
+    """Per pair id, the lexicographically least shortest word that drives
+    the pair out of the graph; None when no word does.  Distances grow
+    backwards from the hole pairs, those some input sends out of the graph."""
+    holes = np.flatnonzero((graph.succ < 0).any(axis=0))
+    return _shortest_words(graph, _distances(graph, holes, 1), 0)
+
+
+def _on_cycle(graph: PairGraph, roots: list[int]) -> list[int]:
+    """The pairs reachable from the roots that lie on a cycle: in a strongly
+    connected component of two or more pairs, or stepping to themselves.
+    Iterative Tarjan; a finished pair's index is raised past every visit
+    number, so it no longer lowers anyone's low link."""
+    adjacency = graph.succ.T.tolist()
+    done = graph.n_pairs + 1
+    index = [0] * graph.n_pairs  # visit number from 1; 0 = not visited
+    low = [0] * graph.n_pairs
+    stack: list[int] = []
+    cyclic: list[int] = []
+    visits = 0
+    for root in roots:
+        calls = [] if index[root] else [(root, iter(adjacency[root]))]
+        while calls:
+            v, pending = calls[-1]
+            if not index[v]:
+                visits += 1
+                index[v] = low[v] = visits
+                stack.append(v)
+            for w in pending:
+                if w >= 0 and not index[w]:
+                    calls.append((w, iter(adjacency[w])))
+                    break
+                if w == v:
+                    cyclic.append(v)
+                elif w >= 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                calls.pop()
+                if calls and low[v] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    start = len(stack) - 1
+                    while stack[start] != v:
+                        start -= 1
+                    if start < len(stack) - 1:
+                        cyclic.extend(stack[start:])
+                    for w in stack[start:]:
+                        index[w] = done
+                    del stack[start:]
+    return cyclic
 
 
 class Lasso(NamedTuple):
@@ -147,69 +233,18 @@ class Lasso(NamedTuple):
     cycle: Word
 
 
-def _shortest_labeled_path(
-    graph: PairGraph, start: PairVertex, goal: PairVertex
-) -> Optional[Word]:
-    if start == goal:
-        return ()
-    queue = deque([(start, ())])
-    seen = {start}
-    while queue:
-        vertex, word = queue.popleft()
-        for letter in sorted(graph.successor[vertex]):
-            target = graph.successor[vertex][letter]
-            if target == goal:
-                return word + (letter,)
-            if target not in seen:
-                seen.add(target)
-                queue.append((target, word + (letter,)))
-    return None
-
-
-def _shortest_return(graph: PairGraph, vertex: PairVertex) -> Optional[Word]:
-    """Shortest nonempty labeled walk from a vertex back to itself."""
-    queue = deque([(vertex, ())])
-    seen: set[PairVertex] = set()
-    while queue:
-        current, word = queue.popleft()
-        for letter in sorted(graph.successor[current]):
-            target = graph.successor[current][letter]
-            if target == vertex:
-                return word + (letter,)
-            if target not in seen:
-                seen.add(target)
-                queue.append((target, word + (letter,)))
-    return None
-
-
-def has_reachable_cycle(
-    graph: PairGraph, sources: Iterable[PairVertex]
-) -> tuple[bool, Optional[Lasso]]:
-    """Whether any cycle (self-loops included) is reachable from the sources.
-
-    Reachability in zero steps counts: a source sitting on a cycle is
-    already a hit.  On success the witness lasso starts at one of the
-    sources and its cycle word can be repeated forever without the walk
-    ever leaving the pair graph.
-    """
-    ordered = sorted(set(sources))
-    stray = [s for s in ordered if s not in graph.vertices]
-    if stray:
-        raise ValueError(f"not pair-graph vertices: {stray}")
-    if not ordered:
-        return False, None
-    reach = _reachable(graph, ordered)
-    anchor = None
-    cycle: Optional[Word] = None
-    for vertex in sorted(reach):
-        cycle = _shortest_return(graph, vertex)
-        if cycle is not None:
-            anchor = vertex
-            break
-    if anchor is None:
-        return False, None
-    for source in ordered:
-        prefix = _shortest_labeled_path(graph, source, anchor)
-        if prefix is not None:
-            return True, Lasso(source, prefix, cycle)
-    raise AssertionError("cycle anchor was reachable but no source reaches it")
+def find_lasso(graph: PairGraph, sources: list[int]) -> Optional[Lasso]:
+    """Lasso from the least of the ascending source ids that reaches the
+    least on-cycle pair reachable from any of them; None when no cycle is
+    reachable.  prefix and cycle are lexicographically least shortest."""
+    on_cycle = _on_cycle(graph, sources)
+    if not on_cycle:
+        return None
+    anchor = min(on_cycle)
+    dist = _distances(graph, np.array([anchor]), 0)
+    words = _shortest_words(graph, dist, UNREACHED)
+    source = next(p for p in sources if words[p] is not None)
+    exits = graph.succ[:, anchor]
+    first = int(np.argmin(np.where(exits >= 0, dist[exits], UNREACHED)))
+    cycle = (first + 1,) + words[exits[first]]
+    return Lasso(graph.vertex(source), words[source], cycle)

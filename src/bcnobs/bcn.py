@@ -96,21 +96,3 @@ def output(network: Bcn, state: int) -> int:
     """Output index emitted at a state."""
     _check_state(network, state)
     return network.output_map.col_index[state - 1]
-
-
-def trajectory(
-    network: Bcn, start: int, word: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """States x(1..p) and outputs y(1..p) produced by driving a word.
-
-    The word must be nonempty; the start state's own output y(0) is not
-    part of the result and is compared separately where it matters.
-    """
-    if len(word) == 0:
-        raise ValueError("trajectory needs at least one input symbol")
-    states = []
-    current = start
-    for control in word:
-        current = step(network, current, control)
-        states.append(current)
-    return tuple(states), tuple(output(network, x) for x in states)

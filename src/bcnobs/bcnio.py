@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .automata import Dfa
 from .bcn import Bcn, bcn_from_columns
 from .observability import ObservabilityType, Verdict
-from .oracle import OracleVerdict, confusable_pairs
+from .oracle import OracleVerdict
 from .pairgraph import PairGraph, PairVertex
 from .stp import COLUMN_ORDERS, LogicalMatrix, from_truth_table
 
@@ -236,12 +237,13 @@ def emit_dot(obj) -> str:
 
 def _emit_pair_graph(graph: PairGraph) -> str:
     lines = ["digraph pair_graph {", "  rankdir=LR;", "  node [shape=circle];"]
-    for vertex in sorted(graph.vertices):
-        lines.append(f'  "{vertex.label()}";')
+    labels = [vertex.label() for vertex in graph.pairs]
+    lines.extend(f'  "{label}";' for label in labels)
     rows = [
-        (v.label(), u, graph.successor[v][u].label())
-        for v in sorted(graph.vertices)
-        for u in sorted(graph.successor[v])
+        (labels[p], letter, labels[target])
+        for letter, step in enumerate(graph.rows, 1)
+        for p, target in enumerate(step)
+        if target >= 0
     ]
     lines.extend(_grouped_edge_lines(rows))
     lines.append("}")
@@ -325,7 +327,9 @@ def build_report(
             "inputs": network.n_inputs,
             "outputs": network.n_outputs,
         },
-        "confusable_pairs": len(confusable_pairs(network)),
+        "confusable_pairs": sum(
+            k * (k - 1) // 2 for k in Counter(network.output_map.col_index).values()
+        ),
         "verdicts": {
             kind.value: _verdict_json(verdict) for kind, verdict in verdicts.items()
         },

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 clean, 1 a requested check found a violation, 2 unusable
-input.  The enumeration budget for oracle checks can be overridden with the
-BCNOBS_ENUM_BUDGET environment variable.
+input (a DocumentError: bad document, option or environment value), 3
+internal fault (any other exception; its traceback goes to stderr).  The
+oracle's enumeration budget can be overridden with BCNOBS_ENUM_BUDGET.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .pairgraph import build
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_FAULT = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,27 +159,17 @@ def _verdict_lines(verdict: Verdict, show_witness: bool) -> list[str]:
     return lines
 
 
-def _verdict_witness_items(verdict: Verdict):
-    """(kind, payload) pairs suitable for oracle.verify_witness."""
-    if not verdict.observable:
-        return
-    if verdict.kind is ObservabilityType.TYPE_I:
-        for state, word in sorted(verdict.determining.items()):
-            yield verdict.kind, (state, word)
-    elif verdict.kind is ObservabilityType.TYPE_II:
-        for pair, word in sorted(verdict.distinguishing.items()):
-            yield verdict.kind, (tuple(pair), word)
-    elif verdict.kind is ObservabilityType.TYPE_III:
-        if verdict.universal_word is not None:
-            yield verdict.kind, verdict.universal_word
-
-
 def _load(path: str) -> tuple[Bcn, Optional[str]]:
     document = load_document(path)
-    return document_to_bcn(document), document.name
+    try:
+        return document_to_bcn(document), document.name
+    except ValueError as exc:
+        raise DocumentError(f"{path}: {exc}") from None
 
 
 def _cmd_decide(args) -> int:
+    if args.horizon is not None and args.horizon < 1:
+        raise DocumentError("--horizon must be at least 1")
     network, name = _load(args.file)
     graph = build(network)
     kinds = _selected_types(args.type)
@@ -196,6 +188,11 @@ def _cmd_decide(args) -> int:
     witnesses_verified = None
     if args.oracle_check:
         budget = _budget_from_env()
+        if budget < network.n_inputs:
+            raise DocumentError(
+                f"BCNOBS_ENUM_BUDGET {budget} cannot cover a single-letter search"
+                f" over {network.n_inputs} inputs"
+            )
         oracle_results = {}
         for kind in kinds:
             conclusive = exact_oracle_horizon(network, kind, graph)
@@ -215,19 +212,11 @@ def _cmd_decide(args) -> int:
                 exit_code = EXIT_VIOLATION
         witnesses_verified = True
         for kind in kinds:
-            for wkind, payload in _verdict_witness_items(verdicts[kind]):
-                if not verify_witness(network, wkind, payload):
-                    witnesses_verified = False
-                    exit_code = EXIT_VIOLATION
-                    print(f"witness check FAILED for type {wkind.value}: {payload}")
-            verdict = verdicts[kind]
-            if kind is ObservabilityType.TYPE_IV and not verdict.observable:
-                lasso = verdict.lasso
-                payload = (tuple(lasso.source), lasso.prefix, lasso.cycle)
+            for payload in verdicts[kind].witness_payloads():
                 if not verify_witness(network, kind, payload):
                     witnesses_verified = False
                     exit_code = EXIT_VIOLATION
-                    print(f"witness check FAILED for type IV lasso: {payload}")
+                    print(f"witness check FAILED for type {kind.value}: {payload}")
         if witnesses_verified:
             print("witnesses verified")
 
@@ -281,7 +270,10 @@ def _cmd_random(args) -> int:
         raise DocumentError("--count must be positive")
     violations = 0
     for index in range(args.count):
-        network = gen_random_bcn(args.seed + index, args.n, args.m, args.q)
+        try:
+            network = gen_random_bcn(args.seed + index, args.n, args.m, args.q)
+        except ValueError as exc:
+            raise DocumentError(f"--n/--m/--q: {exc}") from None
         report = implication_matrix(network)
         flags = " ".join(
             f"{kind.value}={'y' if report.verdicts[kind].observable else 'n'}"
@@ -314,9 +306,15 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DocumentError, ValueError) as exc:
+    except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        import traceback  # here, not at the top: only a fault pays for it
+
+        traceback.print_exc()
+        print("error: internal fault", file=sys.stderr)
+        return EXIT_FAULT
 
 
 def main() -> None:

@@ -12,7 +12,8 @@ quantified:
             pair apart
 
 Types I to III reduce to incompleteness of determinised pair-graph machines
-(a hole in the transition map is a word after which no confusion is left);
+(a hole in the transition map is a word after which no confusion is left;
+type II searches every pair's machine at once, on the pair graph itself);
 type IV reduces to the absence of a cycle reachable from a confusable pair.
 """
 
@@ -26,10 +27,12 @@ from .automata import (
     Dfa,
     Lasso,
     Word,
-    has_reachable_cycle,
+    find_lasso,
     is_complete,
+    shortest_exit_words,
     shortest_undefined_word,
     subset_automaton,
+    subset_automaton_ids,
     vertex_automaton,
 )
 from .bcn import Bcn
@@ -62,13 +65,13 @@ class Verdict:
                 subset machine is complete.
       TYPE_II   observable: distinguishing maps each confusable pair to a
                 shortest word telling it apart.  Not observable:
-                offending_pair, the least pair whose reachable machine is
-                complete.
+                offending_pair, the least pair no word tells apart.
       TYPE_III  observable: universal_word settles every state at once.
       TYPE_IV   not observable: lasso is an input walk along which the
                 offending_pair never separates, loopable forever.
 
-    automaton_stats records every machine the decider built, in build order.
+    automaton_stats records every machine the decider built, in build order;
+    type II records its one search over the whole pair graph.
     """
 
     kind: ObservabilityType
@@ -82,13 +85,34 @@ class Verdict:
     lasso: Optional[Lasso] = None
     automaton_stats: tuple[AutomatonStat, ...] = ()
 
+    def witness_payloads(self) -> list:
+        """The evidence to replay, in the payload shapes
+        oracle.verify_witness takes for this verdict's kind."""
+        if self.kind is ObservabilityType.TYPE_IV:
+            lasso = self.lasso
+            return [] if lasso is None else [(tuple(lasso.source), lasso.prefix, lasso.cycle)]
+        if not self.observable:
+            return []
+        if self.kind is ObservabilityType.TYPE_I:
+            return sorted(self.determining.items())
+        if self.kind is ObservabilityType.TYPE_II:
+            return [(tuple(pair), word) for pair, word in sorted(self.distinguishing.items())]
+        return [self.universal_word]
+
 
 def _graph_or_build(network: Bcn, graph: Optional[PairGraph]) -> PairGraph:
     return build(network) if graph is None else graph
 
 
-def _state_seed(graph: PairGraph, state: int) -> list[PairVertex]:
-    return [v for v in sorted(non_diagonal_vertices(graph)) if state in (v.lo, v.hi)]
+def _state_seeds(graph: PairGraph) -> dict[int, list[int]]:
+    """Each state occurring in a confusable pair, ascending, with the
+    ascending ids of its confusable pairs."""
+    seeds: dict[int, list[int]] = {}
+    lo, hi = graph.lo.tolist(), graph.hi.tolist()
+    for p in graph.nondiagonal.tolist():
+        for state in (lo[p], hi[p]):
+            seeds.setdefault(state, []).append(p)
+    return dict(sorted(seeds.items()))
 
 
 def decide_type_i(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
@@ -99,13 +123,12 @@ def decide_type_i(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
     determinised machine is a word that empties every candidate set.
     """
     graph = _graph_or_build(network, graph)
-    nondiag = sorted(non_diagonal_vertices(graph))
-    involved = sorted({x for v in nondiag for x in (v.lo, v.hi)})
-    trivial = frozenset(range(1, network.n_states + 1)) - frozenset(involved)
+    seeds = _state_seeds(graph)
+    trivial = frozenset(range(1, network.n_states + 1)) - frozenset(seeds)
     stats: list[AutomatonStat] = []
     words: dict[int, Word] = {}
-    for state in involved:
-        dfa = subset_automaton(graph, _state_seed(graph, state))
+    for state, seed in seeds.items():
+        dfa = subset_automaton_ids(graph, seed)
         complete = is_complete(dfa)
         stats.append(AutomatonStat(f"state {state}", len(dfa.states), complete))
         if complete:
@@ -126,29 +149,28 @@ def decide_type_i(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
 
 
 def decide_type_ii(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
-    """Per-pair decision over the reachable pair-graph machines."""
+    """One search over the whole pair graph: a confusable pair is told
+    apart exactly when some word drives it out of the graph."""
     graph = _graph_or_build(network, graph)
-    stats: list[AutomatonStat] = []
-    words: dict[PairVertex, Word] = {}
-    for vertex in sorted(non_diagonal_vertices(graph)):
-        dfa = vertex_automaton(graph, vertex)
-        complete = is_complete(dfa)
-        stats.append(
-            AutomatonStat(f"pair {vertex.lo},{vertex.hi}", len(dfa.states), complete)
+    nondiag = graph.nondiagonal.tolist()
+    if not nondiag:
+        return Verdict(kind=ObservabilityType.TYPE_II, observable=True)
+    words = shortest_exit_words(graph)
+    stuck = next((p for p in nondiag if words[p] is None), None)
+    stats = (AutomatonStat("pair graph", graph.n_pairs, stuck is not None),)
+    if stuck is not None:
+        return Verdict(
+            kind=ObservabilityType.TYPE_II,
+            observable=False,
+            offending_pair=graph.vertex(stuck),
+            automaton_stats=stats,
         )
-        if complete:
-            return Verdict(
-                kind=ObservabilityType.TYPE_II,
-                observable=False,
-                offending_pair=vertex,
-                automaton_stats=tuple(stats),
-            )
-        words[vertex] = shortest_undefined_word(dfa)
+    pairs = graph.pairs
     return Verdict(
         kind=ObservabilityType.TYPE_II,
         observable=True,
-        distinguishing=words,
-        automaton_stats=tuple(stats),
+        distinguishing={pairs[p]: words[p] for p in nondiag},
+        automaton_stats=stats,
     )
 
 
@@ -157,12 +179,12 @@ def decide_type_iii(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
     settles all of them at once.  No confusable pairs means any single input
     works."""
     graph = _graph_or_build(network, graph)
-    nondiag = sorted(non_diagonal_vertices(graph))
+    nondiag = graph.nondiagonal.tolist()
     if not nondiag:
         return Verdict(
             kind=ObservabilityType.TYPE_III, observable=True, universal_word=(1,)
         )
-    dfa = subset_automaton(graph, nondiag)
+    dfa = subset_automaton_ids(graph, nondiag)
     complete = is_complete(dfa)
     stats = (AutomatonStat("all confusable pairs", len(dfa.states), complete),)
     if complete:
@@ -184,11 +206,8 @@ def decide_type_iv(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
     confusable pair never separates; no machine construction is needed.
     """
     graph = _graph_or_build(network, graph)
-    nondiag = sorted(non_diagonal_vertices(graph))
-    if not nondiag:
-        return Verdict(kind=ObservabilityType.TYPE_IV, observable=True)
-    found, lasso = has_reachable_cycle(graph, nondiag)
-    if found:
+    lasso = find_lasso(graph, graph.nondiagonal.tolist())
+    if lasso is not None:
         return Verdict(
             kind=ObservabilityType.TYPE_IV,
             observable=False,
@@ -255,17 +274,17 @@ def type_automata(
     """The labeled machines a decider inspects, for rendering and tests.
 
     TYPE_I: one subset machine per state with confusable partners.
-    TYPE_II and TYPE_IV: one reachable machine per confusable pair (type IV
-    walks the same structures looking for cycles).  TYPE_III: the single
-    machine seeded with every confusable pair, when any exists.
+    TYPE_II and TYPE_IV: one reachable machine per confusable pair (the
+    deciders search the same structures on the whole graph at once).
+    TYPE_III: the single machine seeded with every confusable pair, when
+    any exists.
     """
     graph = _graph_or_build(network, graph)
     nondiag = sorted(non_diagonal_vertices(graph))
     if kind is ObservabilityType.TYPE_I:
-        involved = sorted({x for v in nondiag for x in (v.lo, v.hi)})
         return [
-            (f"state_{state}", subset_automaton(graph, _state_seed(graph, state)))
-            for state in involved
+            (f"state_{state}", subset_automaton(graph, [graph.pairs[p] for p in seed]))
+            for state, seed in _state_seeds(graph).items()
         ]
     if kind in (ObservabilityType.TYPE_II, ObservabilityType.TYPE_IV):
         return [
@@ -289,18 +308,17 @@ def exact_oracle_horizon(
     hole is reached within that many letters when one exists.  At least 1.
     """
     graph = _graph_or_build(network, graph)
-    nondiag = sorted(non_diagonal_vertices(graph))
+    nondiag = graph.nondiagonal.tolist()
     if kind in (ObservabilityType.TYPE_II, ObservabilityType.TYPE_IV):
         return max(len(nondiag), 1)
     if kind is ObservabilityType.TYPE_III:
         if not nondiag:
             return 1
-        return max(len(subset_automaton(graph, nondiag).states), 1)
+        return max(len(subset_automaton_ids(graph, nondiag).states), 1)
     if kind is ObservabilityType.TYPE_I:
-        involved = sorted({x for v in nondiag for x in (v.lo, v.hi)})
         sizes = [
-            len(subset_automaton(graph, _state_seed(graph, state)).states)
-            for state in involved
+            len(subset_automaton_ids(graph, seed).states)
+            for seed in _state_seeds(graph).values()
         ]
         return max(sizes, default=1)
     raise ValueError(f"unknown observability type {kind!r}")

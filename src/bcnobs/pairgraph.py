@@ -5,14 +5,21 @@ Vertices are the unordered state pairs sharing an output, diagonal pairs
 the move is kept as an edge exactly when the two successors again share an
 output.  Edge weights are the input subsets, recovered by grouping inputs
 with a common target.
+
+The graph is stored as integer arrays indexed by pair id, ids following
+the (lo, hi) order; PairVertex values appear only in views built on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
-from .bcn import Bcn, output, step
+import numpy as np
+
+from .bcn import Bcn
 
 
 class PairVertex(NamedTuple):
@@ -28,93 +35,124 @@ class PairVertex(NamedTuple):
         return f"{self.lo}{sep}{self.hi}"
 
 
-def make_pair(a: int, b: int) -> PairVertex:
-    """Canonical unordered pair: the smaller index first."""
-    return PairVertex(a, b) if a <= b else PairVertex(b, a)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairGraph:
-    """Per-input successor maps over the confusable pairs.
+    """Per-input successor table over the confusable pairs.
 
-    successor[v][u] is v's unique successor under input u; the key is
-    absent when stepping v under u leaves the graph.  Diagonal vertices
+    Pair p is (lo[p], hi[p]), states 1-based with lo <= hi, and the pairs
+    ascend by (lo, hi).  succ[u - 1, p] is the id of p's unique successor
+    under input u, or -1 when that step leaves the graph.  Diagonal pairs
     never leave it.
     """
 
-    n_inputs: int
-    vertices: frozenset[PairVertex]
-    successor: dict[PairVertex, dict[int, PairVertex]]
+    n_states: int
+    lo: np.ndarray
+    hi: np.ndarray
+    succ: np.ndarray
+
+    @property
+    def n_inputs(self) -> int:
+        return self.succ.shape[0]
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.lo)
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        """succ as Python lists, for searches that step one pair at a time."""
+        return self.succ.tolist()
+
+    @cached_property
+    def reverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edges grouped by target: the ids stepping into pair p are
+        sources[offsets[p]:offsets[p + 1]], once per input doing so."""
+        targets = self.succ.ravel()
+        kept = np.flatnonzero(targets >= 0)
+        order = kept[np.argsort(targets[kept], kind="stable")]
+        offsets = np.zeros(self.n_pairs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(targets[kept], minlength=self.n_pairs), out=offsets[1:])
+        return offsets, order % self.n_pairs
+
+    @cached_property
+    def pairs(self) -> tuple[PairVertex, ...]:
+        """PairVertex of every id."""
+        return tuple(map(PairVertex._make, zip(self.lo.tolist(), self.hi.tolist())))
+
+    @cached_property
+    def nondiagonal(self) -> np.ndarray:
+        """Ids of the confusable pairs of distinct states, ascending."""
+        return np.flatnonzero(self.lo != self.hi)
+
+    @cached_property
+    def vertices(self) -> frozenset[PairVertex]:
+        return frozenset(self._index)
+
+    @cached_property
+    def successor(self) -> Mapping[PairVertex, Mapping[int, PairVertex]]:
+        """successor[v][u] is v's successor under input u; the key is absent
+        when that step leaves the graph.  A read-only view."""
+        pairs = self.pairs
+        rows: list[dict[int, PairVertex]] = [{} for _ in pairs]
+        for letter, targets in enumerate(self.rows, 1):
+            for row, target in zip(rows, targets):
+                if target >= 0:
+                    row[letter] = pairs[target]
+        return MappingProxyType({v: MappingProxyType(r) for v, r in zip(pairs, rows)})
+
+    def vertex(self, p: int) -> PairVertex:
+        return PairVertex(int(self.lo[p]), int(self.hi[p]))
+
+    def ids(self, vertices: Iterable[PairVertex]) -> list[int]:
+        """Ids of the given vertices, in the given order."""
+        vertices = list(vertices)
+        stray = sorted(v for v in vertices if v not in self._index)
+        if stray:
+            raise ValueError(f"not pair-graph vertices: {stray}")
+        return [self._index[v] for v in vertices]
+
+    @cached_property
+    def _index(self) -> dict[PairVertex, int]:
+        return {v: p for p, v in enumerate(self.pairs)}
 
     def edges(self) -> dict[tuple[PairVertex, PairVertex], tuple[int, ...]]:
         """Weighted edge view: (source, target) -> ascending input tuple."""
         grouped: dict[tuple[PairVertex, PairVertex], list[int]] = {}
         for v in sorted(self.vertices):
-            for u in sorted(self.successor[v]):
-                grouped.setdefault((v, self.successor[v][u]), []).append(u)
+            for u, target in self.successor[v].items():
+                grouped.setdefault((v, target), []).append(u)
         return {edge: tuple(inputs) for edge, inputs in grouped.items()}
 
 
 def build(network: Bcn) -> PairGraph:
     """Pair graph of a network.
 
-    Canonicalising every pair as (min, max) makes the construction
-    independent of enumeration order.
+    Pairs are enumerated one output class at a time: a state pairs with
+    itself and the later members of its class, so the pairs come out in
+    (lo, hi) order without ever forming all N^2 state pairs.  Successor ids
+    are looked up by binary search on the key lo * (N + 1) + hi.
     """
-    vertices = {
-        PairVertex(x, x2)
-        for x in range(1, network.n_states + 1)
-        for x2 in range(x, network.n_states + 1)
-        if output(network, x) == output(network, x2)
-    }
-    successor: dict[PairVertex, dict[int, PairVertex]] = {}
-    for v in sorted(vertices):
-        row: dict[int, PairVertex] = {}
-        for u in range(1, network.n_inputs + 1):
-            target = make_pair(step(network, v.lo, u), step(network, v.hi, u))
-            if target in vertices:
-                row[u] = target
-        successor[v] = row
-    return PairGraph(network.n_inputs, frozenset(vertices), successor)
+    n = network.n_states
+    out = np.asarray(network.output_map.col_index, dtype=np.int64)
+    step = np.asarray(network.transition.col_index, dtype=np.int64).reshape(-1, n)
+    by_class = np.argsort(out, kind="stable")
+    position = np.empty(n, dtype=np.int64)
+    position[by_class] = np.arange(n)
+    class_end = np.cumsum(np.bincount(out))[out]
+    partners = class_end - position
+    first = np.cumsum(partners) - partners
+    lo = np.repeat(np.arange(1, n + 1), partners)
+    within = np.arange(len(lo)) - np.repeat(first, partners)
+    hi = by_class[np.repeat(position, partners) + within] + 1
+    keys = lo * (n + 1) + hi
 
-
-def pair_successor(
-    graph: PairGraph, network: Bcn, vertex: PairVertex, control: int
-) -> Optional[PairVertex]:
-    """Successor of a vertex under one input, None when the step leaves the
-    graph.  Computed from the network directly; agrees with graph.successor."""
-    if vertex not in graph.vertices:
-        raise ValueError(f"{vertex} is not a vertex of this pair graph")
-    if not 1 <= control <= graph.n_inputs:
-        raise ValueError(f"input {control} outside 1..{graph.n_inputs}")
-    target = make_pair(step(network, vertex.lo, control), step(network, vertex.hi, control))
-    return target if target in graph.vertices else None
+    a, b = step[:, lo - 1], step[:, hi - 1]
+    t_lo, t_hi = np.minimum(a, b), np.maximum(a, b)
+    target = np.searchsorted(keys, t_lo * (n + 1) + t_hi)
+    succ = np.where(out[t_lo - 1] == out[t_hi - 1], target, -1)
+    return PairGraph(n, lo, hi, succ)
 
 
 def non_diagonal_vertices(graph: PairGraph) -> frozenset[PairVertex]:
     """The confusable pairs of distinct states."""
-    return frozenset(v for v in graph.vertices if not v.diagonal)
-
-
-def _reachable(graph: PairGraph, sources: Iterable[PairVertex]) -> set[PairVertex]:
-    seen = set(sources)
-    frontier = list(seen)
-    while frontier:
-        v = frontier.pop()
-        for target in graph.successor[v].values():
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return seen
-
-
-def reachable_subgraph(graph: PairGraph, start: PairVertex) -> PairGraph:
-    """Restriction of the graph to everything reachable from one vertex.
-
-    Successor rows survive unchanged: reachability is closed under them.
-    """
-    if start not in graph.vertices:
-        raise ValueError(f"{start} is not a vertex of this pair graph")
-    keep = _reachable(graph, [start])
-    successor = {v: dict(graph.successor[v]) for v in keep}
-    return PairGraph(graph.n_inputs, frozenset(keep), successor)
+    return frozenset(graph.pairs[p] for p in graph.nondiagonal.tolist())

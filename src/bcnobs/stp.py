@@ -1,4 +1,4 @@
-"""Semi-tensor product primitives and logical-matrix utilities.
+"""Logical matrices, the algebraic form of Boolean maps.
 
 Boolean values are encoded as columns of the 2x2 identity: true is column 1,
 false is column 2.  A k-tuple of Booleans packs into one column of the 2^k
@@ -8,7 +8,6 @@ and the all-false tuple index 2^k.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -70,72 +69,6 @@ class LogicalMatrix:
         if not (a.sum(axis=0) == 1).all():
             raise ValueError("every column must contain exactly one 1")
         return cls(a.shape[0], tuple(int(r) + 1 for r in a.argmax(axis=0)))
-
-
-def stp(a, b) -> np.ndarray:
-    """Semi-tensor product of two dense matrices.
-
-    For A of shape (m, n) and B of shape (p, q), with t = lcm(n, p), this is
-    (A kron I_{t/n}) @ (B kron I_{t/p}), of shape (m*t/n, q*t/p).  When
-    n == p it reduces to the ordinary matrix product.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("stp operands must be 2-D")
-    n, p = a.shape[1], b.shape[0]
-    t = math.lcm(n, p)
-    dtype = np.result_type(a, b)
-    left = np.kron(a, np.eye(t // n, dtype=dtype))
-    right = np.kron(b, np.eye(t // p, dtype=dtype))
-    return left @ right
-
-
-def logical_stp(a: LogicalMatrix, b: LogicalMatrix) -> LogicalMatrix:
-    """Semi-tensor product of logical matrices, by index arithmetic alone.
-
-    One inner dimension must divide the other; that covers every product the
-    network pipeline forms (transition matrix times delta column, output map
-    times state, stacking an input onto a state).  Agrees with stp() on the
-    dense representations.
-    """
-    m, n = a.rows, a.cols
-    p = b.rows
-    if n % p == 0:
-        # A (B kron I_k): result column (j-1)k + r reads column (b_j - 1)k + r of A
-        k = n // p
-        idx: list[int] = []
-        for bj in b.col_index:
-            base = (bj - 1) * k
-            idx.extend(a.col_index[base:base + k])
-        return LogicalMatrix(m, tuple(idx))
-    if p % n == 0:
-        # (A kron I_k) B: with b_j = (s-1)k + r, result column j is (a_s - 1)k + r
-        k = p // n
-        idx = []
-        for bj in b.col_index:
-            s, r = divmod(bj - 1, k)
-            idx.append((a.col_index[s] - 1) * k + r + 1)
-        return LogicalMatrix(m * k, tuple(idx))
-    raise ValueError(
-        f"inner dimensions {n} and {p} divide neither way; such a product"
-        " of logical matrices need not be logical"
-    )
-
-
-def swap_matrix(m: int, n: int) -> LogicalMatrix:
-    """The permutation W with W (u stp v) = v stp u for u in D_m, v in D_n.
-
-    Column (i-1)n + j carries index (j-1)m + i.  swap_matrix(1, n) and
-    swap_matrix(n, 1) are the n x n identity.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("swap matrix factors must be positive")
-    idx = [0] * (m * n)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            idx[(i - 1) * n + (j - 1)] = (j - 1) * m + i
-    return LogicalMatrix(m * n, tuple(idx))
 
 
 def bool_tuple_index(values: Iterable[bool]) -> int:

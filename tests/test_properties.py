@@ -5,7 +5,6 @@ import itertools
 from hypothesis import assume, given, settings, strategies as st
 
 from bcnobs.automata import (
-    accepts,
     is_complete,
     shortest_undefined_word,
     subset_automaton,
@@ -23,6 +22,7 @@ from bcnobs.oracle import brute_force, confusable_pairs, distinguishes, verify_w
 from bcnobs.pairgraph import build, non_diagonal_vertices
 
 from dotcheck import validate_dot
+from reference import accepts
 
 
 @st.composite

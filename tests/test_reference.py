@@ -1,0 +1,106 @@
+"""The integer-indexed pair graph and its searches against the code they
+replaced (tests/reference.py), and the reference's own behaviour."""
+
+import random
+
+import pytest
+
+from bcnobs.automata import subset_automaton
+from bcnobs.bcnio import build_report, gen_random_bcn
+from bcnobs.observability import ObservabilityType, decide_type_ii, decide_type_iv
+from bcnobs.oracle import confusable_pairs, verify_witness
+from bcnobs.pairgraph import PairVertex, build
+
+import reference
+from reference import make_pair, pair_successor, reachable_subgraph
+
+
+def v(a, b):
+    return PairVertex(a, b)
+
+
+def _random_networks(count, seed=2024):
+    rng = random.Random(seed)
+    for index in range(count):
+        n, m, q = rng.randint(1, 6), rng.randint(1, 2), rng.randint(1, 3)
+        yield f"seed {index} ({n},{m},{q})", gen_random_bcn(index, n, m, q)
+
+
+def _fixture_networks(request):
+    for name in ("bcn5", "bcn6", "bcn7"):
+        yield name, request.getfixturevalue(name)
+
+
+def test_matches_reference(request):
+    cases = list(_fixture_networks(request)) + list(_random_networks(200))
+    observable = {ObservabilityType.TYPE_II: 0, ObservabilityType.TYPE_IV: 0}
+    for label, network in cases:
+        graph, old = build(network), reference.build(network)
+        assert graph.vertices == old.vertices, label
+        assert dict(graph.successor) == old.successor, label
+        if network.n_states <= 16:  # the type I and III machines stay small
+            nondiag = sorted(pair for pair in old.vertices if not pair.diagonal)
+            states = range(1, network.n_states + 1)
+            for seed in [nondiag] + [[p for p in nondiag if x in p] for x in states]:
+                if seed:
+                    expected = reference.subset_automaton(old, seed)
+                    assert subset_automaton(graph, seed) == expected, label
+
+        new_ii, old_ii = decide_type_ii(network, graph), reference.decide_type_ii(old)
+        assert new_ii.observable == old_ii.observable, label
+        assert new_ii.offending_pair == old_ii.offending_pair, label
+        assert dict(new_ii.distinguishing) == dict(old_ii.distinguishing), label
+
+        new_iv, old_iv = decide_type_iv(network, graph), reference.decide_type_iv(old)
+        assert new_iv.observable == old_iv.observable, label
+        assert new_iv.offending_pair == old_iv.offending_pair, label
+        assert new_iv.lasso == old_iv.lasso, label
+        for payload in new_iv.witness_payloads():
+            assert verify_witness(network, ObservabilityType.TYPE_IV, payload), label
+
+        report = build_report(network, {})
+        assert report["confusable_pairs"] == len(confusable_pairs(network)), label
+        for verdict in (new_ii, new_iv):
+            observable[verdict.kind] += verdict.observable
+    # the sample exercises both outcomes of both deciders
+    assert 0 < observable[ObservabilityType.TYPE_II] < len(cases)
+    assert 0 < observable[ObservabilityType.TYPE_IV] < len(cases)
+
+
+def test_make_pair_canonicalises():
+    assert make_pair(4, 2) == v(2, 4)
+    assert make_pair(2, 4) == v(2, 4)
+    assert make_pair(3, 3) == v(3, 3)
+    assert v(3, 3).diagonal and not v(2, 4).diagonal
+
+
+def test_pair_successor_examples(graph5, bcn5):
+    assert pair_successor(graph5, bcn5, v(2, 4), 1) is None
+    assert pair_successor(graph5, bcn5, v(2, 4), 2) == v(1, 1)
+    assert pair_successor(graph5, bcn5, v(3, 3), 2) == v(4, 4)
+
+
+def test_pair_successor_agrees_with_edges(graph5, bcn5):
+    for vertex in graph5.vertices:
+        for control in (1, 2):
+            got = pair_successor(graph5, bcn5, vertex, control)
+            assert got == graph5.successor[vertex].get(control)
+
+
+def test_pair_successor_rejects_strays(graph5, bcn5):
+    with pytest.raises(ValueError, match="not a vertex"):
+        pair_successor(graph5, bcn5, v(1, 2), 1)
+    with pytest.raises(ValueError, match="input"):
+        pair_successor(graph5, bcn5, v(2, 3), 3)
+
+
+def test_reachable_subgraph(graph5):
+    sub = reachable_subgraph(graph5, v(2, 4))
+    assert sub.vertices == frozenset([v(2, 4), v(1, 1)])
+    assert sub.successor[v(2, 4)] == graph5.successor[v(2, 4)]
+
+    isolated = reachable_subgraph(graph5, v(3, 4))
+    assert isolated.vertices == frozenset([v(3, 4)])
+
+    with pytest.raises(ValueError, match="not a vertex"):
+        reachable_subgraph(graph5, v(1, 2))

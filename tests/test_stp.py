@@ -7,11 +7,10 @@ from bcnobs.stp import (
     bool_tuple_index,
     from_truth_table,
     index_to_bool_tuple,
-    logical_stp,
     reorder_columns,
-    stp,
-    swap_matrix,
 )
+
+from reference import logical_stp, stp, swap_matrix
 
 
 def logical_matrices(max_rows=6, max_cols=8):
