@@ -183,10 +183,6 @@ def load_document(path) -> BcnDocument:
     return parse_document(text)
 
 
-def load_bcn(path) -> Bcn:
-    return document_to_bcn(load_document(path))
-
-
 def serialize_document(document: BcnDocument) -> str:
     """Canonical JSON text; parse_document(serialize_document(d)) == d."""
     body: dict = {}

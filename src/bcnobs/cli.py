@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 clean, 1 a requested check found a violation, 2 unusable
-input (a DocumentError: bad document, option or environment value), 3
-internal fault (any other exception; its traceback goes to stderr).  The
-oracle's enumeration budget can be overridden with BCNOBS_ENUM_BUDGET.
+Exit codes: 0 clean, 1 a requested check found a violation (an oracle
+result that refutes a verdict, a failed witness replay, an implication
+violation), 2 unusable input (a DocumentError: bad document, option or
+environment value), 3 internal fault (any other exception; its traceback
+goes to stderr).  The oracle's enumeration budget can be overridden with
+BCNOBS_ENUM_BUDGET.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon",
         type=int,
         default=None,
-        help="override the oracle search depth (default: a conclusive depth)",
+        help="override the oracle search depth; needs --oracle-check"
+        " (default: a conclusive depth)",
     )
     decide.add_argument("--json", metavar="OUT", help="write a JSON report here")
 
@@ -168,6 +171,8 @@ def _load(path: str) -> tuple[Bcn, Optional[str]]:
 
 
 def _cmd_decide(args) -> int:
+    if args.horizon is not None and not args.oracle_check:
+        raise DocumentError("--horizon needs --oracle-check")
     if args.horizon is not None and args.horizon < 1:
         raise DocumentError("--horizon must be at least 1")
     network, name = _load(args.file)
@@ -201,15 +206,18 @@ def _cmd_decide(args) -> int:
                 network, kind, horizon, budget=budget, sufficient_horizon=conclusive
             )
             oracle_results[kind] = result
-            agrees = result.observable == verdicts[kind].observable
+            if result.observable == verdicts[kind].observable:
+                marker = "agrees"
+            elif result.refutes(verdicts[kind].observable):
+                marker = "DISAGREES"
+                exit_code = EXIT_VIOLATION
+            else:
+                marker = "inconclusive"
             note = "" if result.exact else " (horizon not conclusive)"
-            marker = "agrees" if agrees else "DISAGREES"
             print(
                 f"oracle {kind.value}: horizon {result.horizon}, "
                 f"{'observable' if result.observable else 'not observable'}, {marker}{note}"
             )
-            if not agrees:
-                exit_code = EXIT_VIOLATION
         witnesses_verified = True
         for kind in kinds:
             for payload in verdicts[kind].witness_payloads():
@@ -319,3 +327,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -66,6 +66,15 @@ class OracleVerdict:
     exact: bool
     budget_limited: bool = False
 
+    def refutes(self, observable: bool) -> bool:
+        """True when this result proves a decider's verdict wrong.
+
+        An "observable" answer rests on words actually found, so it is
+        conclusive at any horizon; a "not observable" one only says no word
+        up to the horizon works, so it is conclusive only when exact.
+        """
+        return self.observable != observable and (self.exact or self.observable)
+
 
 def _enumeration_cost(n_inputs: int, kind: ObservabilityType, horizon: int) -> int:
     if kind is ObservabilityType.TYPE_IV:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 COLUMN_ORDERS = ("state-first", "input-first")
 
 
@@ -44,32 +42,6 @@ class LogicalMatrix:
     def cols(self) -> int:
         return len(self.col_index)
 
-    @classmethod
-    def identity(cls, n: int) -> "LogicalMatrix":
-        return cls(n, tuple(range(1, n + 1)))
-
-    @classmethod
-    def delta(cls, n: int, i: int) -> "LogicalMatrix":
-        """The i-th column of the n x n identity, as an n x 1 matrix."""
-        return cls(n, (i,))
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for j, r in enumerate(self.col_index):
-            out[r - 1, j] = 1
-        return out
-
-    @classmethod
-    def from_dense(cls, array) -> "LogicalMatrix":
-        a = np.asarray(array)
-        if a.ndim != 2:
-            raise ValueError("need a 2-D array")
-        if not np.isin(a, (0, 1)).all():
-            raise ValueError("entries must be 0 or 1")
-        if not (a.sum(axis=0) == 1).all():
-            raise ValueError("every column must contain exactly one 1")
-        return cls(a.shape[0], tuple(int(r) + 1 for r in a.argmax(axis=0)))
-
 
 def bool_tuple_index(values: Iterable[bool]) -> int:
     """1-based delta index of a Boolean tuple, first variable most significant."""
@@ -77,14 +49,6 @@ def bool_tuple_index(values: Iterable[bool]) -> int:
     for v in values:
         idx = 2 * idx - 1 if v else 2 * idx
     return idx
-
-
-def index_to_bool_tuple(index: int, width: int) -> tuple[bool, ...]:
-    """Inverse of bool_tuple_index for a fixed tuple width."""
-    if not 1 <= index <= 2 ** width:
-        raise ValueError(f"index {index} outside 1..{2 ** width}")
-    rem = index - 1
-    return tuple(not (rem >> pos) & 1 for pos in range(width - 1, -1, -1))
 
 
 def from_truth_table(

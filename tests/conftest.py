@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from bcnobs import load_bcn
+from bcnobs.bcnio import document_to_bcn, load_document
 from bcnobs.pairgraph import build
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -13,23 +13,27 @@ def fixture_path(name: str) -> Path:
     return FIXTURE_DIR / f"{name}.json"
 
 
+def fixture_bcn(name: str):
+    return document_to_bcn(load_document(fixture_path(name)))
+
+
 def golden_text(name: str) -> str:
     return (GOLDEN_DIR / f"{name}.dot").read_text(encoding="utf-8")
 
 
 @pytest.fixture(scope="session")
 def bcn5():
-    return load_bcn(fixture_path("bcn5"))
+    return fixture_bcn("bcn5")
 
 
 @pytest.fixture(scope="session")
 def bcn6():
-    return load_bcn(fixture_path("bcn6"))
+    return fixture_bcn("bcn6")
 
 
 @pytest.fixture(scope="session")
 def bcn7():
-    return load_bcn(fixture_path("bcn7"))
+    return fixture_bcn("bcn7")
 
 
 @pytest.fixture(scope="session")

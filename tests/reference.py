@@ -8,7 +8,9 @@
   slow but direct, and tests compare the library's integer-indexed graph
   and linear-time searches against them.
 - The dense semi-tensor product and its index-arithmetic form on logical
-  matrices, the independent check that the algebraic form is right.
+  matrices, the independent check that the algebraic form is right, with
+  the identity and delta constructors, the dense round trip and the
+  inverse of bool_tuple_index that the checks are written in.
 - Word runs on networks (trajectory) and on automata (accepts).
 """
 
@@ -224,6 +226,41 @@ def decide_type_iv(graph) -> Verdict:
                 lasso=Lasso(source, prefix, cycle),
             )
     raise AssertionError("cycle anchor was reachable but no source reaches it")
+
+
+def identity(n: int) -> LogicalMatrix:
+    return LogicalMatrix(n, tuple(range(1, n + 1)))
+
+
+def delta(n: int, i: int) -> LogicalMatrix:
+    """The i-th column of the n x n identity, as an n x 1 matrix."""
+    return LogicalMatrix(n, (i,))
+
+
+def to_dense(matrix: LogicalMatrix) -> np.ndarray:
+    out = np.zeros((matrix.rows, matrix.cols), dtype=np.int64)
+    for j, r in enumerate(matrix.col_index):
+        out[r - 1, j] = 1
+    return out
+
+
+def from_dense(array) -> LogicalMatrix:
+    a = np.asarray(array)
+    if a.ndim != 2:
+        raise ValueError("need a 2-D array")
+    if not np.isin(a, (0, 1)).all():
+        raise ValueError("entries must be 0 or 1")
+    if not (a.sum(axis=0) == 1).all():
+        raise ValueError("every column must contain exactly one 1")
+    return LogicalMatrix(a.shape[0], tuple(int(r) + 1 for r in a.argmax(axis=0)))
+
+
+def index_to_bool_tuple(index: int, width: int) -> tuple[bool, ...]:
+    """Inverse of stp.bool_tuple_index for a fixed tuple width."""
+    if not 1 <= index <= 2 ** width:
+        raise ValueError(f"index {index} outside 1..{2 ** width}")
+    rem = index - 1
+    return tuple(not (rem >> pos) & 1 for pos in range(width - 1, -1, -1))
 
 
 def stp(a, b) -> np.ndarray:

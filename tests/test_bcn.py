@@ -6,7 +6,7 @@ from bcnobs.bcn import Bcn, bcn_from_columns, output, step
 from bcnobs.bcnio import gen_random_bcn
 from bcnobs.stp import LogicalMatrix
 
-from reference import stp, trajectory
+from reference import delta, stp, to_dense, trajectory
 
 # Successor tables keyed by (state, input), worked out from the fixture
 # transition matrices by hand.
@@ -46,12 +46,12 @@ def test_output_tables(fixture, table, request):
 
 def test_step_matches_dense_semantics(bcn5):
     # x(t+1) = L u x through the dense semi-tensor product
-    dense_l = bcn5.transition.to_dense()
+    dense_l = to_dense(bcn5.transition)
     for control in (1, 2):
         for state in (1, 2, 3, 4):
             column = stp(
-                stp(dense_l, LogicalMatrix.delta(2, control).to_dense()),
-                LogicalMatrix.delta(4, state).to_dense(),
+                stp(dense_l, to_dense(delta(2, control))),
+                to_dense(delta(4, state)),
             )
             assert int(np.argmax(column[:, 0])) + 1 == step(bcn5, state, control)
 

@@ -1,32 +1,34 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
 from bcnobs.automata import subset_automaton
-from bcnobs.bcnio import emit_dot
+from bcnobs.bcnio import emit_dot, gen_random_bcn
 from bcnobs.cli import run_cli
-from bcnobs.observability import DECIDERS, ObservabilityType
-from bcnobs.pairgraph import build, non_diagonal_vertices
+from bcnobs.observability import DECIDERS, ObservabilityType, Verdict
+from bcnobs.pairgraph import PairVertex, build, non_diagonal_vertices
 
-from conftest import fixture_path
+from conftest import FIXTURE_DIR, fixture_path
 
 BCN5 = str(fixture_path("bcn5"))
 BCN6 = str(fixture_path("bcn6"))
 BCN7 = str(fixture_path("bcn7"))
+BCN5_VERDICTS = [
+    "type I: not observable (offending state 2)",
+    "type II: observable",
+    "type III: not observable",
+    "type IV: not observable (pair (2,3) rides prefix [1,2] then cycle [1] forever)",
+]
 
 
 class TestDecide:
     def test_all_types_bcn5(self, capsys):
         assert run_cli(["decide", BCN5]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out == [
-            "type I: not observable (offending state 2)",
-            "type II: observable",
-            "type III: not observable",
-            "type IV: not observable (pair (2,3) rides prefix [1,2] then cycle [1] forever)",
-        ]
+        assert capsys.readouterr().out.splitlines() == BCN5_VERDICTS
 
     def test_single_type_with_witness(self, capsys):
         assert run_cli(["decide", BCN5, "--type", "II", "--witness"]) == 0
@@ -89,6 +91,33 @@ class TestDecide:
         assert code == 0
         out = capsys.readouterr().out
         assert "oracle II: horizon 1, observable, agrees (horizon not conclusive)" in out
+
+    def test_short_horizon_not_observable_is_inconclusive(self, tmp_path, capsys):
+        # the least type II word for pair (1,2) is [1,1], so at horizon 1 the
+        # oracle finds none for it; that proves nothing against the verdict
+        network = gen_random_bcn(7, 2, 1, 1)
+        document = tmp_path / "random7.json"
+        document.write_text(json.dumps({
+            "n": 2, "m": 1, "q": 1, "ordering": "input-first",
+            "L": list(network.transition.col_index), "H": list(network.output_map.col_index),
+        }))
+        code = run_cli(["decide", str(document), "--type", "II", "--witness",
+                        "--oracle-check", "--horizon", "1"])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "  pair (1,2): [1,1]" in out
+        assert "oracle II: horizon 1, not observable, inconclusive (horizon not conclusive)" in out
+        assert out[-1] == "witnesses verified"
+
+    def test_short_horizon_words_refute_verdict(self, capsys, monkeypatch):
+        def wrong(network, graph=None):
+            return Verdict(ObservabilityType.TYPE_II, False, offending_pair=PairVertex(2, 3))
+
+        monkeypatch.setitem(DECIDERS, ObservabilityType.TYPE_II, wrong)
+        code = run_cli(["decide", BCN5, "--type", "II", "--oracle-check", "--horizon", "1"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "oracle II: horizon 1, observable, DISAGREES (horizon not conclusive)" in out
 
     def test_json_report(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -193,6 +222,10 @@ class TestErrors:
         assert code == 2
         assert "--horizon" in capsys.readouterr().err
 
+    def test_horizon_without_oracle_check_is_bad_input(self, capsys):
+        assert run_cli(["decide", BCN5, "--horizon", "3"]) == 2
+        assert "--oracle-check" in capsys.readouterr().err
+
     def test_random_sizes_out_of_range_are_bad_input(self, capsys):
         assert run_cli(["random", "--seed", "1", "--count", "1", "--n", "9"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -211,6 +244,16 @@ class TestErrors:
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["decide"])  # argparse: missing file operand
         assert excinfo.value.code == 2
+
+
+def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bcnobs.cli", "decide", BCN5],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == BCN5_VERDICTS
 
 
 def test_console_script():

@@ -12,7 +12,6 @@ from bcnobs.bcnio import (
     document_to_bcn,
     emit_dot,
     gen_random_bcn,
-    load_bcn,
     load_document,
     parse_bcn,
     parse_document,
@@ -21,10 +20,10 @@ from bcnobs.bcnio import (
 from bcnobs.observability import DECIDERS, ObservabilityType
 from bcnobs.oracle import brute_force
 from bcnobs.pairgraph import PairVertex, build, non_diagonal_vertices
-from bcnobs.stp import index_to_bool_tuple
 
 from conftest import fixture_path, golden_text
 from dotcheck import dot_structure, validate_dot
+from reference import index_to_bool_tuple
 
 
 def v(a, b):
@@ -85,7 +84,7 @@ class TestParsing:
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(DocumentError, match="cannot read"):
-            load_bcn(tmp_path / "absent.json")
+            load_document(tmp_path / "absent.json")
 
 
 def _bits(index, width):

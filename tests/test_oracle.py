@@ -7,6 +7,7 @@ from bcnobs.bcn import bcn_from_columns
 from bcnobs.bcnio import gen_random_bcn
 from bcnobs.observability import DECIDERS, ObservabilityType, exact_oracle_horizon
 from bcnobs.oracle import (
+    OracleVerdict,
     brute_force,
     confusable_pairs,
     distinguishes,
@@ -96,6 +97,24 @@ class TestBruteForce:
         oracle = brute_force(network, kind, horizon, sufficient_horizon=horizon)
         assert oracle.exact
         assert oracle.observable == DECIDERS[kind](network).observable
+
+
+@pytest.mark.parametrize("oracle_observable,exact,decided,refutes", [
+    (True, True, True, False),
+    (True, False, True, False),
+    (False, True, False, False),
+    (False, False, False, False),
+    # words found refute "not observable" at any horizon
+    (True, True, False, True),
+    (True, False, False, True),
+    # finding none refutes "observable" only at a conclusive horizon
+    (False, True, True, True),
+    (False, False, True, False),
+])
+def test_refutes(oracle_observable, exact, decided, refutes):
+    for kind in ObservabilityType:
+        result = OracleVerdict(kind, 1, oracle_observable, exact, budget_limited=not exact)
+        assert result.refutes(decided) is refutes
 
 
 class TestVerifyWitness:

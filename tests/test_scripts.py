@@ -19,7 +19,10 @@ def _run(name, *args):
 def test_reproduce_results():
     proc = _run("reproduce_results.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "done: 3 networks, 0 failures"
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "done: 3 networks, 0 failures"
+    assert lines.count("witnesses verified") == 3
+    assert not any("DISAGREES" in line for line in lines)
 
 
 def test_implication_sweep():
