@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from bcnobs.bcnio import gen_random_bcn
 from bcnobs.observability import ObservabilityType, exact_oracle_horizon, implication_matrix
 from bcnobs.oracle import brute_force
+from bcnobs.pairgraph import build
 
 
 def main():
@@ -52,7 +53,8 @@ def main():
     for index in range(args.seeds):
         seed = args.start_seed + index
         network = gen_random_bcn(seed, args.n, args.m, args.q)
-        report = implication_matrix(network)
+        graph = build(network)
+        report = implication_matrix(network, graph)
         profile = "".join(
             "y" if report.verdicts[kind].observable else "-"
             for kind in ObservabilityType
@@ -65,7 +67,7 @@ def main():
         if args.oracle_every and index % args.oracle_every == 0:
             checked += 1
             for kind in ObservabilityType:
-                horizon = exact_oracle_horizon(network, kind)
+                horizon = exact_oracle_horizon(network, kind, graph)
                 result = brute_force(
                     network,
                     kind,

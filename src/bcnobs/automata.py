@@ -33,14 +33,16 @@ class Dfa:
     bare PairVertex values for single-pair machines (ascending pair-id
     tuples inside the deciders); identity is payload equality.  states is
     in breadth-first discovery order from the initial state, so every
-    listed state is reachable.
+    listed state is reachable.  hole is the lexicographically least
+    shortest word that runs off the transitions, None exactly when the
+    machine is complete.
     """
 
     alphabet_size: int
     states: tuple[Hashable, ...]
     initial: Hashable
     transitions: dict[Hashable, dict[int, Hashable]]
-    finals: frozenset
+    hole: Optional[Word]
 
 
 def subset_automaton_ids(graph: PairGraph, seed: Iterable[int]) -> Dfa:
@@ -49,30 +51,35 @@ def subset_automaton_ids(graph: PairGraph, seed: Iterable[int]) -> Dfa:
     States are the nonempty id subsets reachable from the seed set, as
     ascending tuples; input j sends a subset to the set of j-successors of
     its members, and the transition is left undefined when that set is
-    empty.
+    empty.  Subsets leave the queue in discovery order with the word that
+    found them and try letters in ascending order, as a breadth-first walk
+    of the finished machine would, so the first empty set met is its hole.
     """
     rows = graph.rows
     initial = tuple(sorted(set(seed)))
     states = [initial]
     seen = {initial}
     transitions: dict[Hashable, dict[int, Hashable]] = {}
-    queue = deque([initial])
+    hole: Optional[Word] = None
+    queue = deque([(initial, ())])
     while queue:
-        subset = queue.popleft()
+        subset, word = queue.popleft()
         row: dict[int, Hashable] = {}
         for letter, step in enumerate(rows, 1):
             targets = {step[p] for p in subset}
             targets.discard(-1)
             if not targets:
+                if hole is None:
+                    hole = word + (letter,)
                 continue
             successor = tuple(sorted(targets))
             row[letter] = successor
             if successor not in seen:
                 seen.add(successor)
                 states.append(successor)
-                queue.append(successor)
+                queue.append((successor, word + (letter,)))
         transitions[subset] = row
-    return Dfa(graph.n_inputs, tuple(states), initial, transitions, frozenset(states))
+    return Dfa(graph.n_inputs, tuple(states), initial, transitions, hole)
 
 
 def _relabel(dfa: Dfa, name: Callable[[Hashable], Hashable]) -> Dfa:
@@ -81,8 +88,7 @@ def _relabel(dfa: Dfa, name: Callable[[Hashable], Hashable]) -> Dfa:
         names[state]: {letter: names[t] for letter, t in row.items()}
         for state, row in dfa.transitions.items()
     }
-    states = tuple(names[state] for state in dfa.states)
-    return Dfa(dfa.alphabet_size, states, names[dfa.initial], transitions, frozenset(states))
+    return Dfa(dfa.alphabet_size, tuple(names.values()), names[dfa.initial], transitions, dfa.hole)
 
 
 def subset_automaton(graph: PairGraph, initial_vertices: Iterable[PairVertex]) -> Dfa:
@@ -102,34 +108,6 @@ def vertex_automaton(graph: PairGraph, start: PairVertex) -> Dfa:
         raise ValueError(f"{start} is not a vertex of this pair graph")
     pairs = graph.pairs
     return _relabel(subset_automaton_ids(graph, graph.ids([start])), lambda s: pairs[s[0]])
-
-
-def is_complete(dfa: Dfa) -> bool:
-    """True when every state defines every letter."""
-    return all(
-        len(dfa.transitions[state]) == dfa.alphabet_size for state in dfa.states
-    )
-
-
-def shortest_undefined_word(dfa: Dfa) -> Optional[Word]:
-    """Lexicographically least shortest word that runs off the transitions.
-
-    None exactly when the machine is complete.  Breadth-first with letters
-    tried in ascending order, so the first hole reached is the answer.
-    """
-    queue = deque([(dfa.initial, ())])
-    seen = {dfa.initial}
-    while queue:
-        state, word = queue.popleft()
-        row = dfa.transitions[state]
-        for letter in range(1, dfa.alphabet_size + 1):
-            if letter not in row:
-                return word + (letter,)
-            target = row[letter]
-            if target not in seen:
-                seen.add(target)
-                queue.append((target, word + (letter,)))
-    return None
 
 
 def _distances(graph: PairGraph, goals: np.ndarray, first: int) -> np.ndarray:

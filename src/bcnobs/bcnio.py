@@ -248,9 +248,8 @@ def _emit_pair_graph(graph: PairGraph) -> str:
 
 def _emit_dfa(dfa: Dfa) -> str:
     lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=none, label=""];']
-    for state in sorted(dfa.states):
-        shape = "doublecircle" if state in dfa.finals else "circle"
-        lines.append(f'  "{_subset_label(state)}" [shape={shape}];')
+    for state in sorted(dfa.states):  # every state accepts
+        lines.append(f'  "{_subset_label(state)}" [shape=doublecircle];')
     lines.append(f'  __start -> "{_subset_label(dfa.initial)}";')
     rows = [
         (_subset_label(state), letter, _subset_label(dfa.transitions[state][letter]))

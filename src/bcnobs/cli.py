@@ -3,9 +3,9 @@
 Exit codes: 0 clean, 1 a requested check found a violation (an oracle
 result that refutes a verdict, a failed witness replay, an implication
 violation), 2 unusable input (a DocumentError: bad document, option or
-environment value), 3 internal fault (any other exception; its traceback
-goes to stderr).  The oracle's enumeration budget can be overridden with
-BCNOBS_ENUM_BUDGET.
+environment value, unwritable output path), 3 internal fault (any other
+exception; its traceback goes to stderr).  The oracle's enumeration budget
+can be overridden with BCNOBS_ENUM_BUDGET.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -162,6 +163,15 @@ def _verdict_lines(verdict: Verdict, show_witness: bool) -> list[str]:
     return lines
 
 
+@contextmanager
+def _writing(path):
+    """Report an output path that cannot be written as unusable input."""
+    try:
+        yield
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _load(path: str) -> tuple[Bcn, Optional[str]]:
     document = load_document(path)
     try:
@@ -237,7 +247,8 @@ def _cmd_decide(args) -> int:
             oracle_results=oracle_results,
             witnesses_verified=witnesses_verified,
         )
-        Path(args.json).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        with _writing(args.json):
+            Path(args.json).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return exit_code
 
 
@@ -245,7 +256,8 @@ def _cmd_graph(args) -> int:
     network, _ = _load(args.file)
     text = emit_dot(build(network))
     if args.dot:
-        Path(args.dot).write_text(text, encoding="utf-8")
+        with _writing(args.dot):
+            Path(args.dot).write_text(text, encoding="utf-8")
     else:
         print(text, end="")
     return EXIT_OK
@@ -261,11 +273,12 @@ def _cmd_automata(args) -> int:
             rendered.append((f"automaton_{kind.value}_{label}", emit_dot(dfa)))
     if args.dot_dir:
         directory = Path(args.dot_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        for label, text in rendered:
-            target = directory / f"{label}.dot"
-            target.write_text(text, encoding="utf-8")
-            print(target)
+        with _writing(directory):
+            directory.mkdir(parents=True, exist_ok=True)
+            for label, text in rendered:
+                (directory / f"{label}.dot").write_text(text, encoding="utf-8")
+        for label, _ in rendered:
+            print(directory / f"{label}.dot")
     else:
         for label, text in rendered:
             print(f"// {label}")

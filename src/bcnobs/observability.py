@@ -28,9 +28,7 @@ from .automata import (
     Lasso,
     Word,
     find_lasso,
-    is_complete,
     shortest_exit_words,
-    shortest_undefined_word,
     subset_automaton,
     subset_automaton_ids,
     vertex_automaton,
@@ -129,16 +127,15 @@ def decide_type_i(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
     words: dict[int, Word] = {}
     for state, seed in seeds.items():
         dfa = subset_automaton_ids(graph, seed)
-        complete = is_complete(dfa)
-        stats.append(AutomatonStat(f"state {state}", len(dfa.states), complete))
-        if complete:
+        stats.append(AutomatonStat(f"state {state}", len(dfa.states), dfa.hole is None))
+        if dfa.hole is None:
             return Verdict(
                 kind=ObservabilityType.TYPE_I,
                 observable=False,
                 offending_state=state,
                 automaton_stats=tuple(stats),
             )
-        words[state] = shortest_undefined_word(dfa)
+        words[state] = dfa.hole
     return Verdict(
         kind=ObservabilityType.TYPE_I,
         observable=True,
@@ -185,16 +182,11 @@ def decide_type_iii(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
             kind=ObservabilityType.TYPE_III, observable=True, universal_word=(1,)
         )
     dfa = subset_automaton_ids(graph, nondiag)
-    complete = is_complete(dfa)
-    stats = (AutomatonStat("all confusable pairs", len(dfa.states), complete),)
-    if complete:
-        return Verdict(
-            kind=ObservabilityType.TYPE_III, observable=False, automaton_stats=stats
-        )
+    stats = (AutomatonStat("all confusable pairs", len(dfa.states), dfa.hole is None),)
     return Verdict(
         kind=ObservabilityType.TYPE_III,
-        observable=True,
-        universal_word=shortest_undefined_word(dfa),
+        observable=dfa.hole is not None,
+        universal_word=dfa.hole,
         automaton_stats=stats,
     )
 

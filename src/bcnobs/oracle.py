@@ -84,14 +84,15 @@ def _enumeration_cost(n_inputs: int, kind: ObservabilityType, horizon: int) -> i
 
 def _fit_horizon(n_inputs: int, kind: ObservabilityType, horizon: int, budget: int) -> int:
     """Largest length <= horizon whose enumeration stays within budget."""
-    fitted = horizon
-    while fitted > 1 and _enumeration_cost(n_inputs, kind, fitted) > budget:
-        fitted -= 1
-    if _enumeration_cost(n_inputs, kind, fitted) > budget:
+    # the cost grows with the length: counting up takes ~log_M(budget) steps
+    if _enumeration_cost(n_inputs, kind, 1) > budget:
         raise ValueError(
             f"budget {budget} cannot cover even a single-letter search"
             f" over {n_inputs} inputs"
         )
+    fitted = 1
+    while fitted < horizon and _enumeration_cost(n_inputs, kind, fitted + 1) <= budget:
+        fitted += 1
     return fitted
 
 
@@ -122,8 +123,6 @@ def brute_force(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     searched = _fit_horizon(network.n_inputs, kind, horizon, budget)
     pairs = confusable_pairs(network)
 

@@ -12,20 +12,24 @@
   the identity and delta constructors, the dense round trip and the
   inverse of bool_tuple_index that the checks are written in.
 - Word runs on networks (trajectory) and on automata (accepts).
+- The walks over a finished machine that the library's subset construction
+  replaced by recording its own hole (is_complete, shortest_undefined_word),
+  and the oracle's old count-down rule for fitting a horizon to a budget.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from bcnobs.automata import Dfa, Lasso, Word, is_complete, shortest_undefined_word
+from bcnobs.automata import Dfa, Lasso, Word
 from bcnobs.bcn import Bcn, output, step
 from bcnobs.observability import AutomatonStat, ObservabilityType, Verdict
+from bcnobs.oracle import _enumeration_cost
 from bcnobs.pairgraph import PairVertex
 from bcnobs.stp import LogicalMatrix
 
@@ -95,6 +99,38 @@ def reachable_subgraph(graph, start: PairVertex) -> DictPairGraph:
     return DictPairGraph(graph.n_inputs, frozenset(keep), successor)
 
 
+def is_complete(dfa: Dfa) -> bool:
+    """True when every state defines every letter."""
+    return all(
+        len(dfa.transitions[state]) == dfa.alphabet_size for state in dfa.states
+    )
+
+
+def shortest_undefined_word(dfa: Dfa) -> Optional[Word]:
+    """Lexicographically least shortest word that runs off the transitions.
+
+    None exactly when the machine is complete.  Breadth-first with letters
+    tried in ascending order, so the first hole reached is the answer.
+    """
+    queue = deque([(dfa.initial, ())])
+    seen = {dfa.initial}
+    while queue:
+        state, word = queue.popleft()
+        row = dfa.transitions[state]
+        for letter in range(1, dfa.alphabet_size + 1):
+            if letter not in row:
+                return word + (letter,)
+            target = row[letter]
+            if target not in seen:
+                seen.add(target)
+                queue.append((target, word + (letter,)))
+    return None
+
+
+def _with_hole(dfa: Dfa) -> Dfa:
+    return replace(dfa, hole=shortest_undefined_word(dfa))
+
+
 def subset_automaton(graph, initial_vertices: Iterable[PairVertex]) -> Dfa:
     """Determinised reachability machine over PairVertex subsets."""
     initial = tuple(sorted(set(initial_vertices)))
@@ -120,7 +156,7 @@ def subset_automaton(graph, initial_vertices: Iterable[PairVertex]) -> Dfa:
                 states.append(successor)
                 queue.append(successor)
         transitions[subset] = row
-    return Dfa(graph.n_inputs, tuple(states), initial, transitions, frozenset(states))
+    return _with_hole(Dfa(graph.n_inputs, tuple(states), initial, transitions, None))
 
 
 def vertex_automaton(graph, start: PairVertex) -> Dfa:
@@ -138,7 +174,7 @@ def vertex_automaton(graph, start: PairVertex) -> Dfa:
                 seen.add(target)
                 states.append(target)
                 queue.append(target)
-    return Dfa(graph.n_inputs, tuple(states), start, transitions, frozenset(states))
+    return _with_hole(Dfa(graph.n_inputs, tuple(states), start, transitions, None))
 
 
 def _non_diagonal(graph) -> list[PairVertex]:
@@ -350,8 +386,8 @@ def trajectory(
 def accepts(dfa: Dfa, word: Iterable[int]) -> bool:
     """Run a word from the initial state.
 
-    True when every step is defined and the run ends in an accepting state;
-    with all states accepting this means the word never ran off the map.
+    True when every step is defined: every state accepts, so a word is
+    rejected only by running off the map.
     """
     state = dfa.initial
     for letter in word:
@@ -361,4 +397,18 @@ def accepts(dfa: Dfa, word: Iterable[int]) -> bool:
         if letter not in row:
             return False
         state = row[letter]
-    return state in dfa.finals
+    return True
+
+
+def fit_horizon(n_inputs: int, kind: ObservabilityType, horizon: int, budget: int) -> int:
+    """Largest length <= horizon whose enumeration stays within budget,
+    found by counting down from the horizon."""
+    fitted = horizon
+    while fitted > 1 and _enumeration_cost(n_inputs, kind, fitted) > budget:
+        fitted -= 1
+    if _enumeration_cost(n_inputs, kind, fitted) > budget:
+        raise ValueError(
+            f"budget {budget} cannot cover even a single-letter search"
+            f" over {n_inputs} inputs"
+        )
+    return fitted

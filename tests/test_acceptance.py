@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from bcnobs.automata import is_complete, shortest_undefined_word, subset_automaton, vertex_automaton
+from bcnobs.automata import subset_automaton, vertex_automaton
 from bcnobs.bcnio import gen_random_bcn
 from bcnobs.observability import (
     DECIDERS,
@@ -83,7 +83,7 @@ def test_criterion_1_pair_graph_fixture(criterion, bcn5):
 def test_criterion_2_automaton_fixtures(criterion, graph5, graph7):
     with criterion(2, "automaton fixtures", budget_ms=50.0):
         state2 = subset_automaton(graph5, [v(2, 3), v(2, 4)])
-        assert len(state2.states) == 3 and is_complete(state2)
+        assert len(state2.states) == 3 and state2.hole is None
         assert dot_structure(emit_dot(state2)) == dot_structure(golden_text("bcn5_subset_state2"))
 
         expected = {
@@ -99,7 +99,7 @@ def test_criterion_2_automaton_fixtures(criterion, graph5, graph7):
             assert dot_structure(emit_dot(dfa)) == dot_structure(golden_text(golden))
 
         all_pairs7 = subset_automaton(graph7, sorted(non_diagonal_vertices(graph7)))
-        assert len(all_pairs7.states) == 4 and is_complete(all_pairs7)
+        assert len(all_pairs7.states) == 4 and all_pairs7.hole is None
         assert dot_structure(emit_dot(all_pairs7)) == dot_structure(golden_text("bcn7_subset_all_pairs"))
 
         for seed, golden in [([v(1, 2)], "bcn7_subset_state1"), ([v(3, 4)], "bcn7_subset_state3")]:
@@ -199,8 +199,6 @@ def _all_words_accepted_up_to(dfa, bound):
     """
     layer = {dfa.initial}
     for _ in range(bound):
-        if any(state not in dfa.finals for state in layer):
-            return False
         following = set()
         for state in layer:
             row = dfa.transitions[state]
@@ -208,7 +206,7 @@ def _all_words_accepted_up_to(dfa, bound):
                 return False
             following.update(row.values())
         layer = following
-    return all(state in dfa.finals for state in layer)
+    return True
 
 
 def _bounded_acceptance_matches(dfa):
@@ -220,7 +218,7 @@ def _bounded_acceptance_matches(dfa):
             for length in range(0, bound + 1)
         )
         assert accepted == all(accepts(dfa, w) for w in words)
-    return is_complete(dfa) == accepted
+    return (dfa.hole is None) == accepted
 
 
 def test_criterion_7_completeness_bound(criterion, graph5, graph7):

@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 from bcnobs.automata import (
     Lasso,
     find_lasso,
-    is_complete,
-    shortest_undefined_word,
     subset_automaton,
     vertex_automaton,
 )
@@ -15,6 +13,7 @@ from bcnobs.bcn import bcn_from_columns
 from bcnobs.bcnio import gen_random_bcn
 from bcnobs.pairgraph import PairVertex, build, non_diagonal_vertices
 
+import reference
 from reference import accepts
 
 
@@ -36,13 +35,12 @@ class TestSubsetAutomaton:
             s((2, 2)): {1: s((2, 2)), 2: s((1, 1))},
             s((1, 1)): {1: s((1, 1)), 2: s((1, 1))},
         }
-        assert is_complete(dfa)
-        assert shortest_undefined_word(dfa) is None
+        assert dfa.hole is None
 
     def test_bcn5_all_pairs_machine(self, graph5):
         dfa = subset_automaton(graph5, sorted(non_diagonal_vertices(graph5)))
         assert len(dfa.states) == 3
-        assert is_complete(dfa)
+        assert dfa.hole is None
 
     def test_bcn7_all_pairs_machine(self, graph7):
         dfa = subset_automaton(graph7, sorted(non_diagonal_vertices(graph7)))
@@ -53,15 +51,15 @@ class TestSubsetAutomaton:
         assert dfa.transitions[s((1, 2), (3, 4))] == {1: s((1, 1)), 2: s((2, 2))}
         assert dfa.transitions[s((2, 2))] == {1: s((1, 1)), 2: s((3, 3))}
         assert dfa.transitions[s((3, 3))] == {1: s((1, 1)), 2: s((2, 2))}
-        assert is_complete(dfa)
+        assert dfa.hole is None
 
     def test_bcn7_single_state_machines(self, graph7):
         state1 = subset_automaton(graph7, [v(1, 2)])
         assert len(state1.states) == 2
-        assert shortest_undefined_word(state1) == (2,)
+        assert state1.hole == (2,)
         state3 = subset_automaton(graph7, [v(3, 4)])
         assert len(state3.states) == 4
-        assert shortest_undefined_word(state3) == (1,)
+        assert state3.hole == (1,)
 
     def test_rejects_bad_seeds(self, graph5):
         with pytest.raises(ValueError, match="empty"):
@@ -73,7 +71,6 @@ class TestSubsetAutomaton:
         for graph in (graph5, graph7):
             for vertex in sorted(non_diagonal_vertices(graph)):
                 dfa = subset_automaton(graph, [vertex])
-                assert dfa.finals == frozenset(dfa.states)
                 assert dfa.states[0] == dfa.initial
                 reached = {dfa.initial}
                 frontier = [dfa.initial]
@@ -96,8 +93,8 @@ class TestVertexAutomaton:
         for vertex, (size, hole) in expected.items():
             dfa = vertex_automaton(graph5, vertex)
             assert len(dfa.states) == size
-            assert not is_complete(dfa)
-            assert shortest_undefined_word(dfa) == hole
+            assert dfa.hole is not None
+            assert dfa.hole == hole
 
     def test_undefined_inputs_at_initial(self, graph5):
         undefined = {
@@ -164,7 +161,8 @@ def test_complete_iff_no_undefined_word(seed):
             vertex_automaton(graph, vertex),
             subset_automaton(graph, [vertex]),
         ):
-            assert is_complete(dfa) == (shortest_undefined_word(dfa) is None)
+            assert reference.is_complete(dfa) == (dfa.hole is None)
+            assert reference.shortest_undefined_word(dfa) == dfa.hole
 
 
 def _lasso_is_valid(graph, lasso):

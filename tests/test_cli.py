@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -84,6 +85,14 @@ class TestDecide:
         assert code == 0
         out = capsys.readouterr().out
         assert "oracle IV: horizon 1, not observable, agrees (horizon not conclusive)" in out
+
+    def test_huge_horizon_is_fitted_to_budget_at_once(self, capsys):
+        started = time.perf_counter()
+        code = run_cli(["decide", BCN5, "--type", "II", "--oracle-check", "--horizon", "1000000"])
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert "oracle II: horizon 19, observable" in capsys.readouterr().out
+        assert elapsed < 2.0
 
     def test_budget_env_clamps_horizon(self, capsys, monkeypatch):
         monkeypatch.setenv("BCNOBS_ENUM_BUDGET", "4")
@@ -239,6 +248,25 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "ValueError: shape mismatch" in err
         assert "internal fault" in err
+
+    def test_unwritable_json_path_is_bad_input(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "r.json"
+        assert run_cli(["decide", BCN5, "--json", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_unwritable_dot_path_is_bad_input(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "g.dot"
+        assert run_cli(["graph", BCN5, "--dot", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_dot_dir_that_is_a_file_is_bad_input(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli(["automata", BCN5, "--type", "all", "--dot-dir", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -10,9 +10,12 @@ from bcnobs.oracle import (
     OracleVerdict,
     brute_force,
     confusable_pairs,
+    _fit_horizon,
     distinguishes,
     verify_witness,
 )
+
+import reference
 
 T_I = ObservabilityType.TYPE_I
 T_II = ObservabilityType.TYPE_II
@@ -84,6 +87,19 @@ class TestBruteForce:
     def test_budget_too_small(self, bcn5):
         with pytest.raises(ValueError, match="budget"):
             brute_force(bcn5, T_II, 3, budget=1)
+
+    @pytest.mark.parametrize("kind", list(ObservabilityType))
+    def test_fit_horizon_matches_count_down(self, kind):
+        budgets = (1, 2, 5, 6, 64, 1000, 2 ** 14, 2 ** 20)
+        for n_inputs, budget, horizon in itertools.product((2, 4), budgets, range(1, 31)):
+            case = (n_inputs, kind, horizon, budget)
+            try:
+                expected = reference.fit_horizon(*case)
+            except ValueError:
+                with pytest.raises(ValueError, match="budget"):
+                    _fit_horizon(*case)
+            else:
+                assert _fit_horizon(*case) == expected, case
 
     def test_rejects_bad_horizon(self, bcn5):
         with pytest.raises(ValueError, match="horizon"):

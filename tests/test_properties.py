@@ -5,8 +5,6 @@ import itertools
 from hypothesis import assume, given, settings, strategies as st
 
 from bcnobs.automata import (
-    is_complete,
-    shortest_undefined_word,
     subset_automaton,
     vertex_automaton,
 )
@@ -108,7 +106,7 @@ def test_completeness_matches_bounded_acceptance(network):
     bound = len(dfa.states) + 1
     assume(network.n_inputs ** bound <= 4096)
     all_accepted = all(accepts(dfa, w) for w in _words_up_to(network.n_inputs, bound))
-    assert is_complete(dfa) == all_accepted
+    assert (dfa.hole is None) == all_accepted
 
 
 @given(networks(max_n=2))
@@ -118,7 +116,7 @@ def test_shortest_hole_is_least(network):
     nondiag = sorted(non_diagonal_vertices(graph))
     assume(nondiag)
     dfa = subset_automaton(graph, nondiag)
-    word = shortest_undefined_word(dfa)
+    word = dfa.hole
     assume(word is not None)
     assume(network.n_inputs ** len(word) <= 4096)
     assert not accepts(dfa, word)

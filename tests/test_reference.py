@@ -7,7 +7,7 @@ import pytest
 
 from bcnobs.automata import subset_automaton
 from bcnobs.bcnio import build_report, gen_random_bcn
-from bcnobs.observability import ObservabilityType, decide_type_ii, decide_type_iv
+from bcnobs.observability import ObservabilityType, decide_type_ii, decide_type_iv, type_automata
 from bcnobs.oracle import confusable_pairs, verify_witness
 from bcnobs.pairgraph import PairVertex, build
 
@@ -65,6 +65,45 @@ def test_matches_reference(request):
     # the sample exercises both outcomes of both deciders
     assert 0 < observable[ObservabilityType.TYPE_II] < len(cases)
     assert 0 < observable[ObservabilityType.TYPE_IV] < len(cases)
+
+
+def _check_holes(machines, label):
+    """Each machine's recorded hole against the walks over the finished
+    machine; returns how many machines were complete."""
+    complete = 0
+    for name, dfa in machines:
+        assert dfa.hole == reference.shortest_undefined_word(dfa), (label, name)
+        assert (dfa.hole is None) == reference.is_complete(dfa), (label, name)
+        complete += dfa.hole is None
+    return complete
+
+
+def test_holes_match_walks(request):
+    """Every machine type_automata returns, per-pair ones included."""
+    cases = list(_fixture_networks(request)) + list(_random_networks(200))
+    machines = complete = 0
+    for label, network in cases:
+        if network.n_states > 16:  # the type I and III machines stay small
+            continue
+        graph = build(network)
+        for kind in ObservabilityType:
+            found = type_automata(network, kind, graph)
+            complete += _check_holes(found, label)
+            machines += len(found)
+    assert 0 < complete < machines
+
+
+def test_holes_match_walks_subset_search_size():
+    """Type I and III machines of 32-state networks with 4 inputs."""
+    machines = complete = 0
+    for seed in range(10):
+        network = gen_random_bcn(seed, 5, 2, 3)
+        graph = build(network)
+        for kind in (ObservabilityType.TYPE_I, ObservabilityType.TYPE_III):
+            found = type_automata(network, kind, graph)
+            complete += _check_holes(found, f"seed {seed}")
+            machines += len(found)
+    assert 0 < complete < machines
 
 
 def test_make_pair_canonicalises():

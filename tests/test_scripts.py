@@ -1,8 +1,14 @@
 """Smoke tests: the runnable scripts finish cleanly on small inputs."""
 
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import bcnobs.observability
+import bcnobs.pairgraph
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -29,3 +35,21 @@ def test_implication_sweep():
     proc = _run("implication_sweep.py", "--seeds", "20")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "implication violations: 0" in proc.stdout
+
+
+def test_implication_sweep_builds_one_graph_per_network(monkeypatch, capsys):
+    builds = []
+    original = bcnobs.pairgraph.build
+
+    def counting(network):
+        builds.append(network)
+        return original(network)
+
+    monkeypatch.setattr(bcnobs.pairgraph, "build", counting)
+    monkeypatch.setattr(bcnobs.observability, "build", counting)
+    monkeypatch.setattr(sys, "argv", ["implication_sweep.py", "--seeds", "20"])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(SCRIPTS / "implication_sweep.py"), run_name="__main__")
+    assert exited.value.code == 0, capsys.readouterr().out
+    assert len(builds) == 20
