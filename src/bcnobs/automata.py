@@ -14,15 +14,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, NamedTuple, Optional
+from typing import AbstractSet, Callable, Hashable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .pairgraph import PairGraph, PairVertex
+from .pairgraph import UNREACHED, PairGraph, PairVertex
 
 Word = tuple[int, ...]
-
-UNREACHED = 1 << 62  # distance of a pair that cannot reach the goal
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,9 @@ class Dfa:
     hole: Optional[Word]
 
 
-def subset_automaton_ids(graph: PairGraph, seed: Iterable[int]) -> Dfa:
+def subset_automaton_ids(
+    graph: PairGraph, seed: Iterable[int], dead: AbstractSet[int] = frozenset()
+) -> Dfa:
     """Determinised reachability machine of the pair graph, over pair ids.
 
     States are the nonempty id subsets reachable from the seed set, as
@@ -54,6 +54,15 @@ def subset_automaton_ids(graph: PairGraph, seed: Iterable[int]) -> Dfa:
     empty.  Subsets leave the queue in discovery order with the word that
     found them and try letters in ascending order, as a breadth-first walk
     of the finished machine would, so the first empty set met is its hole.
+
+    Given the dead pairs (PairGraph.dead), subsets holding one are dropped,
+    with their transitions, leaving the explored part of the machine; a
+    seed holding one is complete at once.  The hole is the same: a dead
+    pair steps only onto dead pairs, so no hole lies beyond a dropped
+    subset, and every subset on the word finding a kept one is kept, as a
+    dead pair there would be carried forward.  So kept subsets leave the
+    queue in the full machine's order with the same words, and the first
+    empty set met is still the lexicographically least shortest hole.
     """
     rows = graph.rows
     initial = tuple(sorted(set(seed)))
@@ -61,7 +70,7 @@ def subset_automaton_ids(graph: PairGraph, seed: Iterable[int]) -> Dfa:
     seen = {initial}
     transitions: dict[Hashable, dict[int, Hashable]] = {}
     hole: Optional[Word] = None
-    queue = deque([(initial, ())])
+    queue = deque([(initial, ())] if dead.isdisjoint(initial) else [])
     while queue:
         subset, word = queue.popleft()
         row: dict[int, Hashable] = {}
@@ -71,6 +80,8 @@ def subset_automaton_ids(graph: PairGraph, seed: Iterable[int]) -> Dfa:
             if not targets:
                 if hole is None:
                     hole = word + (letter,)
+                continue
+            if not dead.isdisjoint(targets):
                 continue
             successor = tuple(sorted(targets))
             row[letter] = successor
@@ -110,30 +121,6 @@ def vertex_automaton(graph: PairGraph, start: PairVertex) -> Dfa:
     return _relabel(subset_automaton_ids(graph, graph.ids([start])), lambda s: pairs[s[0]])
 
 
-def _distances(graph: PairGraph, goals: np.ndarray, first: int) -> np.ndarray:
-    """Per pair, first plus the length of a shortest walk into the goals;
-    UNREACHED when there is none.  Breadth-first over reversed edges, one
-    level at a time."""
-    offsets, sources = graph.reverse
-    dist = np.full(graph.n_pairs, UNREACHED, dtype=np.int64)
-    dist[goals] = first
-    slot = np.empty(graph.n_pairs, dtype=np.int64)
-    frontier, level = goals, first
-    while frontier.size:
-        level += 1
-        begin = offsets[frontier]
-        count = offsets[frontier + 1] - begin
-        spans = np.repeat(begin - (np.cumsum(count) - count), count)
-        found = sources[spans + np.arange(spans.size)]
-        found = found[dist[found] == UNREACHED]
-        # keep each pair once: of its copies, only the one whose position
-        # the scatter left in its slot survives
-        slot[found] = np.arange(found.size)
-        frontier = found[slot[found] == np.arange(found.size)]
-        dist[frontier] = level
-    return dist
-
-
 def _shortest_words(graph: PairGraph, dist: np.ndarray, exit_dist: int) -> list:
     """Per pair, the lexicographically least word that lowers dist to 0
     one step per letter (leaving the graph counts as reaching exit_dist);
@@ -153,10 +140,8 @@ def _shortest_words(graph: PairGraph, dist: np.ndarray, exit_dist: int) -> list:
 
 def shortest_exit_words(graph: PairGraph) -> list[Optional[Word]]:
     """Per pair id, the lexicographically least shortest word that drives
-    the pair out of the graph; None when no word does.  Distances grow
-    backwards from the hole pairs, those some input sends out of the graph."""
-    holes = np.flatnonzero((graph.succ < 0).any(axis=0))
-    return _shortest_words(graph, _distances(graph, holes, 1), 0)
+    the pair out of the graph; None when no word does."""
+    return _shortest_words(graph, graph.exit_distances, 0)
 
 
 def _on_cycle(graph: PairGraph, roots: list[int]) -> list[int]:
@@ -219,7 +204,7 @@ def find_lasso(graph: PairGraph, sources: list[int]) -> Optional[Lasso]:
     if not on_cycle:
         return None
     anchor = min(on_cycle)
-    dist = _distances(graph, np.array([anchor]), 0)
+    dist = graph.distances(np.array([anchor]), 0)
     words = _shortest_words(graph, dist, UNREACHED)
     source = next(p for p in sources if words[p] is not None)
     exits = graph.succ[:, anchor]

@@ -186,6 +186,9 @@ def _cmd_decide(args) -> int:
     if args.horizon is not None and args.horizon < 1:
         raise DocumentError("--horizon must be at least 1")
     network, name = _load(args.file)
+    if args.json:  # an unwritable report path fails before the deciding
+        with _writing(args.json):
+            open(args.json, "a").close()
     graph = build(network)
     kinds = _selected_types(args.type)
     verdicts: dict[ObservabilityType, Verdict] = {}

@@ -69,7 +69,9 @@ class Verdict:
                 offending_pair never separates, loopable forever.
 
     automaton_stats records every machine the decider built, in build order;
-    type II records its one search over the whole pair graph.
+    for types I and III its size counts the subsets the search explored,
+    which drops those holding a dead pair.  Type II records its one search
+    over the whole pair graph.
     """
 
     kind: ObservabilityType
@@ -118,7 +120,8 @@ def decide_type_i(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
 
     Only states occurring in some confusable pair need a machine; for each,
     the seed is the set of its confusable pairs, and a hole in the
-    determinised machine is a word that empties every candidate set.
+    determinised machine is a word that empties every candidate set.  The
+    searches skip subsets holding a dead pair, which never empty.
     """
     graph = _graph_or_build(network, graph)
     seeds = _state_seeds(graph)
@@ -126,7 +129,7 @@ def decide_type_i(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
     stats: list[AutomatonStat] = []
     words: dict[int, Word] = {}
     for state, seed in seeds.items():
-        dfa = subset_automaton_ids(graph, seed)
+        dfa = subset_automaton_ids(graph, seed, graph.dead)
         stats.append(AutomatonStat(f"state {state}", len(dfa.states), dfa.hole is None))
         if dfa.hole is None:
             return Verdict(
@@ -173,15 +176,16 @@ def decide_type_ii(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
 
 def decide_type_iii(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
     """One machine seeded with every confusable pair; a hole is a word that
-    settles all of them at once.  No confusable pairs means any single input
-    works."""
+    settles all of them at once.  The search skips subsets holding a dead
+    pair, so a seed holding one is complete at once.  No confusable pairs
+    means any single input works."""
     graph = _graph_or_build(network, graph)
     nondiag = graph.nondiagonal.tolist()
     if not nondiag:
         return Verdict(
             kind=ObservabilityType.TYPE_III, observable=True, universal_word=(1,)
         )
-    dfa = subset_automaton_ids(graph, nondiag)
+    dfa = subset_automaton_ids(graph, nondiag, graph.dead)
     stats = (AutomatonStat("all confusable pairs", len(dfa.states), dfa.hole is None),)
     return Verdict(
         kind=ObservabilityType.TYPE_III,

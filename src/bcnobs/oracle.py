@@ -180,17 +180,16 @@ def _state_determinable(network: Bcn, state: int, horizon: int) -> bool:
     )
 
 
-def verify_witness(network: Bcn, kind: ObservabilityType, witness, unroll: int = 3) -> bool:
+def verify_witness(network: Bcn, kind: ObservabilityType, witness) -> bool:
     """Check a decider-produced witness by direct simulation.
 
     Payload shapes: TYPE_I (state, word); TYPE_II ((a, b), word); TYPE_III
     word; TYPE_IV ((a, b), prefix, cycle).  The lasso for TYPE_IV passes
-    when the pair stays output-identical along prefix plus k cycle
-    repetitions for every k up to the unrolling depth.  Malformed payloads
-    raise ValueError.
+    when the pair stays output-identical along prefix plus cycle and the
+    cycle brings it back to the unordered pair it reached after the prefix:
+    the dynamics being deterministic, the pair then repeats the cycle
+    forever without separating.  Malformed payloads raise ValueError.
     """
-    if unroll < 1:
-        raise ValueError("unroll must be at least 1")
     if kind is ObservabilityType.TYPE_I:
         state, word = _as_pairload(witness, "TYPE_I witness is (state, word)")
         word = _as_word(word)
@@ -221,11 +220,17 @@ def verify_witness(network: Bcn, kind: ObservabilityType, witness, unroll: int =
         cycle = tuple(cycle)
         if not cycle:
             raise ValueError("TYPE_IV witness cycle must be nonempty")
-        for k in range(unroll + 1):
-            if distinguishes(network, a, b, prefix + cycle * k):
-                return False
-        return True
+        if distinguishes(network, a, b, prefix + cycle):
+            return False
+        start = {_run(network, a, prefix), _run(network, b, prefix)}
+        return start == {_run(network, x, cycle) for x in start}
     raise ValueError(f"unknown observability type {kind!r}")
+
+
+def _run(network: Bcn, state: int, word: Sequence[int]) -> int:
+    for control in word:
+        state = step(network, state, control)
+    return state
 
 
 def _as_pairload(witness, message: str) -> tuple:

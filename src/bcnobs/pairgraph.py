@@ -21,6 +21,8 @@ import numpy as np
 
 from .bcn import Bcn
 
+UNREACHED = 1 << 62  # distance of a pair that cannot reach the goal
+
 
 class PairVertex(NamedTuple):
     lo: int
@@ -73,6 +75,41 @@ class PairGraph:
         offsets = np.zeros(self.n_pairs + 1, dtype=np.int64)
         np.cumsum(np.bincount(targets[kept], minlength=self.n_pairs), out=offsets[1:])
         return offsets, order % self.n_pairs
+
+    def distances(self, goals: np.ndarray, first: int) -> np.ndarray:
+        """Per pair, first plus the length of a shortest walk into the goals;
+        UNREACHED when there is none.  Breadth-first over reversed edges, one
+        level at a time."""
+        offsets, sources = self.reverse
+        dist = np.full(self.n_pairs, UNREACHED, dtype=np.int64)
+        dist[goals] = first
+        slot = np.empty(self.n_pairs, dtype=np.int64)
+        frontier, level = goals, first
+        while frontier.size:
+            level += 1
+            begin = offsets[frontier]
+            count = offsets[frontier + 1] - begin
+            spans = np.repeat(begin - (np.cumsum(count) - count), count)
+            found = sources[spans + np.arange(spans.size)]
+            found = found[dist[found] == UNREACHED]
+            # keep each pair once: of its copies, only the one whose position
+            # the scatter left in its slot survives
+            slot[found] = np.arange(found.size)
+            frontier = found[slot[found] == np.arange(found.size)]
+            dist[frontier] = level
+        return dist
+
+    @cached_property
+    def exit_distances(self) -> np.ndarray:
+        """Per pair, the length of a shortest word driving it out of the
+        graph: distances from the hole pairs, which some input sends out."""
+        return self.distances(np.flatnonzero((self.succ < 0).any(axis=0)), 1)
+
+    @cached_property
+    def dead(self) -> frozenset[int]:
+        """Ids of the pairs no word drives out of the graph, every diagonal
+        pair among them; a dead pair steps only onto dead pairs."""
+        return frozenset(np.flatnonzero(self.exit_distances == UNREACHED).tolist())
 
     @cached_property
     def pairs(self) -> tuple[PairVertex, ...]:

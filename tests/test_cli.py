@@ -9,6 +9,7 @@ import pytest
 
 from bcnobs.automata import subset_automaton
 from bcnobs.bcnio import emit_dot, gen_random_bcn
+from bcnobs import cli
 from bcnobs.cli import run_cli
 from bcnobs.observability import DECIDERS, ObservabilityType, Verdict
 from bcnobs.pairgraph import PairVertex, build, non_diagonal_vertices
@@ -117,6 +118,26 @@ class TestDecide:
         assert "  pair (1,2): [1,1]" in out
         assert "oracle II: horizon 1, not observable, inconclusive (horizon not conclusive)" in out
         assert out[-1] == "witnesses verified"
+
+    def test_type_iii_at_64_states_is_fast(self, tmp_path, capsys):
+        # the full subset construction explores 2,139,762 subsets (about
+        # 45 s) to reach this verdict; its seed holds a dead pair
+        network = gen_random_bcn(1, 6, 1, 2)
+        document = tmp_path / "random64.json"
+        document.write_text(json.dumps({
+            "n": 6, "m": 1, "q": 2, "ordering": "input-first",
+            "L": list(network.transition.col_index), "H": list(network.output_map.col_index),
+        }))
+        target = tmp_path / "report.json"
+        started = time.perf_counter()
+        code = run_cli(["decide", str(document), "--type", "III", "--witness",
+                        "--json", str(target)])
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == ["type III: not observable"]
+        verdict = json.loads(target.read_text())["verdicts"]["III"]
+        assert verdict["observable"] is False and verdict["witness"] is None
+        assert elapsed < 2.0
 
     def test_short_horizon_words_refute_verdict(self, capsys, monkeypatch):
         def wrong(network, graph=None):
@@ -249,11 +270,14 @@ class TestErrors:
         assert "ValueError: shape mismatch" in err
         assert "internal fault" in err
 
-    def test_unwritable_json_path_is_bad_input(self, capsys, tmp_path):
+    def test_unwritable_json_path_is_bad_input(self, capsys, tmp_path, monkeypatch):
+        # no decider may run: with none to call, deciding would be a fault
+        monkeypatch.setattr(cli, "DECIDERS", {})
         target = tmp_path / "missing" / "r.json"
         assert run_cli(["decide", BCN5, "--json", str(target)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
     def test_unwritable_dot_path_is_bad_input(self, capsys, tmp_path):
         target = tmp_path / "missing" / "g.dot"

@@ -159,12 +159,28 @@ class TestVerifyWitness:
 
     def test_type_iv_unroll_depth_matters(self):
         # pair (1,2) survives one lap of the claimed cycle but separates on
-        # the second, so a depth-1 unroll is fooled and the default is not
+        # the second
         network = bcn_from_columns(
             2, 1, 1, (3, 4, 1, 3, 1, 1, 1, 1), (1, 1, 2, 2), "input-first"
         )
         assert not verify_witness(network, T_IV, ((1, 2), (), (1,)))
-        assert verify_witness(network, T_IV, ((1, 2), (), (1,)), unroll=1)
+
+    def test_type_iv_lasso_must_close(self):
+        # input 1 walks 1 -> 2 -> ... -> 7 and only state 7 shows output 2:
+        # pair (1,2) stays output-equal for four laps of the cycle (1,),
+        # which a three-lap unroll accepts, then separates on the fifth;
+        # input 2 fixes every state, a lasso that does close
+        network = bcn_from_columns(
+            3, 1, 1,
+            (2, 3, 4, 5, 6, 7, 7, 8) + tuple(range(1, 9)),
+            (1, 1, 1, 1, 1, 1, 2, 1),
+            "input-first",
+        )
+        assert not distinguishes(network, 1, 2, (1,) * 4)
+        assert distinguishes(network, 1, 2, (1,) * 5)
+        assert not verify_witness(network, T_IV, ((1, 2), (), (1,)))
+        assert verify_witness(network, T_IV, ((1, 2), (), (2,)))
+        assert verify_witness(network, T_IV, ((1, 2), (1, 1), (2,)))
 
     def test_malformed_payloads(self, bcn5):
         with pytest.raises(ValueError):
@@ -179,8 +195,6 @@ class TestVerifyWitness:
             verify_witness(bcn5, T_IV, ((2, 3), (1,), ()))
         with pytest.raises(ValueError):
             verify_witness(bcn5, T_IV, ((2, 3), (1,)))
-        with pytest.raises(ValueError):
-            verify_witness(bcn5, T_IV, ((2, 3), (1,), (1,)), unroll=0)
 
 
 @settings(deadline=None)

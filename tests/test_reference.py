@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bcnobs.automata import subset_automaton
+from bcnobs.automata import subset_automaton, subset_automaton_ids
 from bcnobs.bcnio import build_report, gen_random_bcn
 from bcnobs.observability import ObservabilityType, decide_type_ii, decide_type_iv, type_automata
 from bcnobs.oracle import confusable_pairs, verify_witness
@@ -104,6 +104,34 @@ def test_holes_match_walks_subset_search_size():
             complete += _check_holes(found, f"seed {seed}")
             machines += len(found)
     assert 0 < complete < machines
+
+
+def test_pruned_search_matches_full_construction(request):
+    """The subset search that drops subsets holding a dead pair finds the
+    same hole as the full construction, on the type I and III seeds."""
+    cases = [
+        case
+        for case in list(_fixture_networks(request)) + list(_random_networks(200))
+        if case[1].n_states <= 16
+    ]
+    cases += [(f"seed {s} (5,2,3)", gen_random_bcn(s, 5, 2, 3)) for s in range(10)]
+    outcomes, kept, full_size = set(), 0, 0
+    for label, network in cases:
+        graph = build(network)
+        nondiag = graph.nondiagonal.tolist()
+        lo, hi = graph.lo.tolist(), graph.hi.tolist()
+        states = range(1, network.n_states + 1)
+        seeds = [nondiag] + [[p for p in nondiag if x in (lo[p], hi[p])] for x in states]
+        for seed in filter(None, seeds):
+            full = subset_automaton_ids(graph, seed)
+            pruned = subset_automaton_ids(graph, seed, graph.dead)
+            assert pruned.hole == full.hole, label
+            assert set(pruned.states) <= set(full.states), label
+            outcomes.add(full.hole is None)
+            kept += len(pruned.states)
+            full_size += len(full.states)
+    assert outcomes == {True, False}  # complete and incomplete machines
+    assert kept < full_size
 
 
 def test_make_pair_canonicalises():
