@@ -14,32 +14,31 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Hashable, Iterable, NamedTuple, Optional
+from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .pairgraph import UNREACHED, PairGraph, PairVertex
 
 Word = tuple[int, ...]
+Subset = tuple[int, ...]  # ascending pair ids
 
 
 @dataclass(frozen=True)
 class Dfa:
     """Partial deterministic automaton with every state accepting.
 
-    State payloads are ascending PairVertex tuples for subset machines and
-    bare PairVertex values for single-pair machines (ascending pair-id
-    tuples inside the deciders); identity is payload equality.  states is
-    in breadth-first discovery order from the initial state, so every
-    listed state is reachable.  hole is the lexicographically least
-    shortest word that runs off the transitions, None exactly when the
-    machine is complete.
+    Each state is a set of pair-graph pairs, as the ascending tuple of
+    their ids.  states is in breadth-first discovery order from the
+    initial state, so every listed state is reachable.  hole is the
+    lexicographically least shortest word that runs off the transitions,
+    None exactly when the machine is complete.
     """
 
     alphabet_size: int
-    states: tuple[Hashable, ...]
-    initial: Hashable
-    transitions: dict[Hashable, dict[int, Hashable]]
+    states: tuple[Subset, ...]
+    initial: Subset
+    transitions: dict[Subset, dict[int, Subset]]
     hole: Optional[Word]
 
 
@@ -68,12 +67,12 @@ def subset_automaton_ids(
     initial = tuple(sorted(set(seed)))
     states = [initial]
     seen = {initial}
-    transitions: dict[Hashable, dict[int, Hashable]] = {}
+    transitions: dict[Subset, dict[int, Subset]] = {}
     hole: Optional[Word] = None
     queue = deque([(initial, ())] if dead.isdisjoint(initial) else [])
     while queue:
         subset, word = queue.popleft()
-        row: dict[int, Hashable] = {}
+        row: dict[int, Subset] = {}
         for letter, step in enumerate(rows, 1):
             targets = {step[p] for p in subset}
             targets.discard(-1)
@@ -91,34 +90,6 @@ def subset_automaton_ids(
                 queue.append((successor, word + (letter,)))
         transitions[subset] = row
     return Dfa(graph.n_inputs, tuple(states), initial, transitions, hole)
-
-
-def _relabel(dfa: Dfa, name: Callable[[Hashable], Hashable]) -> Dfa:
-    names = {state: name(state) for state in dfa.states}
-    transitions = {
-        names[state]: {letter: names[t] for letter, t in row.items()}
-        for state, row in dfa.transitions.items()
-    }
-    return Dfa(dfa.alphabet_size, tuple(names.values()), names[dfa.initial], transitions, dfa.hole)
-
-
-def subset_automaton(graph: PairGraph, initial_vertices: Iterable[PairVertex]) -> Dfa:
-    """subset_automaton_ids with PairVertex payloads, seeded by vertices."""
-    seed = set(initial_vertices)
-    if not seed:
-        raise ValueError("initial vertex set is empty")
-    pairs = graph.pairs
-    dfa = subset_automaton_ids(graph, graph.ids(seed))
-    return _relabel(dfa, lambda subset: tuple(pairs[p] for p in subset))
-
-
-def vertex_automaton(graph: PairGraph, start: PairVertex) -> Dfa:
-    """The part of the pair graph reachable from one vertex, read as a DFA
-    (the subset machine seeded with it, whose states are all singletons)."""
-    if start not in graph.vertices:
-        raise ValueError(f"{start} is not a vertex of this pair graph")
-    pairs = graph.pairs
-    return _relabel(subset_automaton_ids(graph, graph.ids([start])), lambda s: pairs[s[0]])
 
 
 def _shortest_words(graph: PairGraph, dist: np.ndarray, exit_dist: int) -> list:

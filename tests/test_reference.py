@@ -5,14 +5,18 @@ import random
 
 import pytest
 
-from bcnobs.automata import subset_automaton, subset_automaton_ids
+from bcnobs.automata import subset_automaton_ids
 from bcnobs.bcnio import build_report, gen_random_bcn
 from bcnobs.observability import ObservabilityType, decide_type_ii, decide_type_iv, type_automata
 from bcnobs.oracle import confusable_pairs, verify_witness
 from bcnobs.pairgraph import PairVertex, build
 
 import reference
+from pairviews import as_vertices
 from reference import make_pair, pair_successor, reachable_subgraph
+
+
+T_I, T_II, T_III, T_IV = ObservabilityType
 
 
 def v(a, b):
@@ -41,10 +45,20 @@ def test_matches_reference(request):
         if network.n_states <= 16:  # the type I and III machines stay small
             nondiag = sorted(pair for pair in old.vertices if not pair.diagonal)
             states = range(1, network.n_states + 1)
-            for seed in [nondiag] + [[p for p in nondiag if x in p] for x in states]:
-                if seed:
-                    expected = reference.subset_automaton(old, seed)
-                    assert subset_automaton(graph, seed) == expected, label
+            state_seeds = [(x, [p for p in nondiag if x in p]) for x in states]
+            per_pair = [(f"pair_{p.lo}_{p.hi}", reference.vertex_automaton(old, p)) for p in nondiag]
+            expected = {
+                T_I: [(f"state_{x}", reference.subset_automaton(old, seed)) for x, seed in state_seeds if seed],
+                T_II: per_pair,
+                T_III: [("all_pairs", reference.subset_automaton(old, nondiag))] if nondiag else [],
+                T_IV: per_pair,
+            }
+            for kind, machines in expected.items():
+                found = [
+                    (name, as_vertices(graph, dfa, single=kind in (T_II, T_IV)))
+                    for name, dfa in type_automata(network, kind, graph)
+                ]
+                assert found == machines, (label, kind)
 
         new_ii, old_ii = decide_type_ii(network, graph), reference.decide_type_ii(old)
         assert new_ii.observable == old_ii.observable, label

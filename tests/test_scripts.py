@@ -27,6 +27,11 @@ def test_reproduce_results():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[-1] == "done: 3 networks, 0 failures"
+    assert [line for line in lines if line.startswith("   pair graph:")] == [
+        "   pair graph: 7 vertices (3 confusable pairs), 8 weighted edges",
+        "   pair graph: 6 vertices (2 confusable pairs), 7 weighted edges",
+        "   pair graph: 6 vertices (2 confusable pairs), 9 weighted edges",
+    ]
     assert lines.count("witnesses verified") == 3
     assert not any("DISAGREES" in line for line in lines)
 
