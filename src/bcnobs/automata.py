@@ -18,7 +18,7 @@ from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .pairgraph import UNREACHED, PairGraph, PairVertex
+from .pairgraph import UNREACHED, Pair, PairGraph
 
 Word = tuple[int, ...]
 Subset = tuple[int, ...]  # ascending pair ids
@@ -162,7 +162,7 @@ def _on_cycle(graph: PairGraph, roots: list[int]) -> list[int]:
 class Lasso(NamedTuple):
     """Labeled pair-graph walk: drive prefix from source, then loop cycle."""
 
-    source: PairVertex
+    source: Pair
     prefix: Word
     cycle: Word
 
@@ -181,4 +181,4 @@ def find_lasso(graph: PairGraph, sources: list[int]) -> Optional[Lasso]:
     exits = graph.succ[:, anchor]
     first = int(np.argmin(np.where(exits >= 0, dist[exits], UNREACHED)))
     cycle = (first + 1,) + words[exits[first]]
-    return Lasso(graph.vertex(source), words[source], cycle)
+    return Lasso(graph.pairs[source], words[source], cycle)

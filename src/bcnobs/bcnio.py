@@ -12,7 +12,7 @@ from .automata import Dfa
 from .bcn import Bcn, bcn_from_columns
 from .observability import ObservabilityType, Verdict
 from .oracle import OracleVerdict
-from .pairgraph import PairGraph
+from .pairgraph import Pair, PairGraph
 from .stp import COLUMN_ORDERS, LogicalMatrix, from_truth_table
 
 
@@ -195,6 +195,12 @@ def _grouped_edge_lines(rows: list[tuple[str, int, str]]) -> list[str]:
     return lines
 
 
+def _label(pair: Pair) -> str:
+    """'ij' for the pair (i, j), written 'i-j' once j has two digits."""
+    lo, hi = pair
+    return f"{lo}-{hi}" if hi > 9 else f"{lo}{hi}"
+
+
 def emit_dot(graph: PairGraph) -> str:
     """Graphviz source for a pair graph.
 
@@ -202,7 +208,7 @@ def emit_dot(graph: PairGraph) -> str:
     sorted, so equal graphs give byte-identical output.
     """
     lines = ["digraph pair_graph {", "  rankdir=LR;", "  node [shape=circle];"]
-    labels = [vertex.label() for vertex in graph.pairs]
+    labels = list(map(_label, graph.pairs))
     lines.extend(f'  "{label}";' for label in labels)
     rows = [
         (labels[p], letter, labels[target])
@@ -222,7 +228,7 @@ def emit_automaton_dot(graph: PairGraph, dfa: Dfa) -> str:
     everything is emitted sorted, as for emit_dot.
     """
     pairs = graph.pairs
-    name = {state: ",".join(pairs[p].label() for p in state) for state in dfa.states}
+    name = {state: ",".join(_label(pairs[p]) for p in state) for state in dfa.states}
     lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=none, label=""];']
     for state in sorted(dfa.states):  # every state accepts
         lines.append(f'  "{name[state]}" [shape=doublecircle];')
@@ -254,10 +260,7 @@ def _verdict_json(verdict: Verdict) -> dict:
         body["offending_state"] = verdict.offending_state
     elif kind is ObservabilityType.TYPE_II:
         body["witnesses"] = (
-            {
-                f"{v.lo},{v.hi}": list(word)
-                for v, word in sorted(verdict.distinguishing.items())
-            }
+            {f"{a},{b}": list(word) for (a, b), word in sorted(verdict.distinguishing.items())}
             if verdict.observable
             else None
         )

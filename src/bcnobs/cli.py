@@ -140,13 +140,13 @@ def _verdict_lines(verdict: Verdict, show_witness: bool) -> list[str]:
         if verdict.kind is ObservabilityType.TYPE_I:
             detail = f" (offending state {verdict.offending_state})"
         elif verdict.kind is ObservabilityType.TYPE_II:
-            pair = verdict.offending_pair
-            detail = f" (offending pair ({pair.lo},{pair.hi}))"
+            a, b = verdict.offending_pair
+            detail = f" (offending pair ({a},{b}))"
         elif verdict.kind is ObservabilityType.TYPE_IV:
-            pair = verdict.offending_pair
+            a, b = verdict.offending_pair
             lasso = verdict.lasso
             detail = (
-                f" (pair ({pair.lo},{pair.hi}) rides prefix {_word_text(lasso.prefix)}"
+                f" (pair ({a},{b}) rides prefix {_word_text(lasso.prefix)}"
                 f" then cycle {_word_text(lasso.cycle)} forever)"
             )
     lines = [f"type {verdict.kind.value}: {flag}{detail}"]
@@ -157,8 +157,8 @@ def _verdict_lines(verdict: Verdict, show_witness: bool) -> list[str]:
             for state in sorted(verdict.any_word_states):
                 lines.append(f"  state {state}: any single input")
         elif verdict.kind is ObservabilityType.TYPE_II:
-            for pair, word in sorted(verdict.distinguishing.items()):
-                lines.append(f"  pair ({pair.lo},{pair.hi}): {_word_text(word)}")
+            for (a, b), word in sorted(verdict.distinguishing.items()):
+                lines.append(f"  pair ({a},{b}): {_word_text(word)}")
         elif verdict.kind is ObservabilityType.TYPE_III:
             lines.append(f"  witness word {_word_text(verdict.universal_word)}")
     return lines

@@ -32,7 +32,7 @@ from .automata import (
     subset_automaton_ids,
 )
 from .bcn import Bcn
-from .pairgraph import PairGraph, PairVertex, build
+from .pairgraph import Pair, PairGraph, build
 
 
 class ObservabilityType(enum.Enum):
@@ -52,7 +52,8 @@ class AutomatonStat(NamedTuple):
 class Verdict:
     """Outcome of one decider, with enough evidence to re-check it.
 
-    Which fields are filled depends on kind and on the observable flag:
+    Which fields are filled depends on kind and on the observable flag
+    (a pair is its plain (lo, hi) tuple, as PairGraph.pairs holds it):
 
       TYPE_I    observable: determining maps each state that has confusable
                 partners to a shortest word settling it; any_word_states are
@@ -77,8 +78,8 @@ class Verdict:
     determining: Mapping[int, Word] = field(default_factory=dict)
     any_word_states: frozenset[int] = frozenset()
     offending_state: Optional[int] = None
-    distinguishing: Mapping[PairVertex, Word] = field(default_factory=dict)
-    offending_pair: Optional[PairVertex] = None
+    distinguishing: Mapping[Pair, Word] = field(default_factory=dict)
+    offending_pair: Optional[Pair] = None
     universal_word: Optional[Word] = None
     lasso: Optional[Lasso] = None
     automaton_stats: tuple[AutomatonStat, ...] = ()
@@ -88,18 +89,14 @@ class Verdict:
         oracle.verify_witness takes for this verdict's kind."""
         if self.kind is ObservabilityType.TYPE_IV:
             lasso = self.lasso
-            return [] if lasso is None else [(tuple(lasso.source), lasso.prefix, lasso.cycle)]
+            return [] if lasso is None else [(lasso.source, lasso.prefix, lasso.cycle)]
         if not self.observable:
             return []
         if self.kind is ObservabilityType.TYPE_I:
             return sorted(self.determining.items())
         if self.kind is ObservabilityType.TYPE_II:
-            return [(tuple(pair), word) for pair, word in sorted(self.distinguishing.items())]
+            return sorted(self.distinguishing.items())
         return [self.universal_word]
-
-
-def _graph_or_build(network: Bcn, graph: Optional[PairGraph]) -> PairGraph:
-    return build(network) if graph is None else graph
 
 
 def _state_seeds(graph: PairGraph) -> dict[int, list[int]]:
@@ -113,7 +110,7 @@ def _state_seeds(graph: PairGraph) -> dict[int, list[int]]:
     return dict(sorted(seeds.items()))
 
 
-def decide_type_i(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
+def decide_type_i(network: Bcn, graph: PairGraph) -> Verdict:
     """Per-state decision.
 
     Only states occurring in some confusable pair need a machine; for each,
@@ -121,7 +118,6 @@ def decide_type_i(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
     determinised machine is a word that empties every candidate set.  The
     searches skip subsets holding a dead pair, which never empty.
     """
-    graph = _graph_or_build(network, graph)
     seeds = _state_seeds(graph)
     trivial = frozenset(range(1, network.n_states + 1)) - frozenset(seeds)
     stats: list[AutomatonStat] = []
@@ -146,10 +142,9 @@ def decide_type_i(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
     )
 
 
-def decide_type_ii(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
+def decide_type_ii(network: Bcn, graph: PairGraph) -> Verdict:
     """One search over the whole pair graph: a confusable pair is told
     apart exactly when some word drives it out of the graph."""
-    graph = _graph_or_build(network, graph)
     nondiag = graph.nondiagonal.tolist()
     if not nondiag:
         return Verdict(kind=ObservabilityType.TYPE_II, observable=True)
@@ -160,7 +155,7 @@ def decide_type_ii(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
         return Verdict(
             kind=ObservabilityType.TYPE_II,
             observable=False,
-            offending_pair=graph.vertex(stuck),
+            offending_pair=graph.pairs[stuck],
             automaton_stats=stats,
         )
     pairs = graph.pairs
@@ -172,12 +167,11 @@ def decide_type_ii(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
     )
 
 
-def decide_type_iii(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
+def decide_type_iii(network: Bcn, graph: PairGraph) -> Verdict:
     """One machine seeded with every confusable pair; a hole is a word that
     settles all of them at once.  The search skips subsets holding a dead
     pair, so a seed holding one is complete at once.  No confusable pairs
     means any single input works."""
-    graph = _graph_or_build(network, graph)
     nondiag = graph.nondiagonal.tolist()
     if not nondiag:
         return Verdict(
@@ -193,13 +187,12 @@ def decide_type_iii(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
     )
 
 
-def decide_type_iv(network: Bcn, graph: Optional[PairGraph] = None) -> Verdict:
+def decide_type_iv(network: Bcn, graph: PairGraph) -> Verdict:
     """Cycle reachability from the confusable pairs, self-loops included.
 
     A reachable cycle yields an infinite input sequence along which some
     confusable pair never separates; no machine construction is needed.
     """
-    graph = _graph_or_build(network, graph)
     lasso = find_lasso(graph, graph.nondiagonal.tolist())
     if lasso is not None:
         return Verdict(
@@ -230,15 +223,14 @@ REQUIRED_IMPLICATIONS = (
 
 @dataclass(frozen=True)
 class ImplicationReport:
-    """All four verdicts plus the instance-level implication table.
+    """All four verdicts plus the implication cross-check.
 
-    matrix[(a, b)] says whether "a observable implies b observable" holds on
-    this network.  violations lists the REQUIRED_IMPLICATIONS entries that
-    failed; any entry at all means a decider bug.
+    violations lists the REQUIRED_IMPLICATIONS entries (a, b) that fail on
+    this network, a observable and b not; any entry at all means a decider
+    bug.
     """
 
     verdicts: dict[ObservabilityType, Verdict]
-    matrix: dict[tuple[ObservabilityType, ObservabilityType], bool]
     violations: tuple[tuple[ObservabilityType, ObservabilityType], ...]
 
     @property
@@ -247,23 +239,20 @@ class ImplicationReport:
 
 
 def implication_matrix(network: Bcn, graph: Optional[PairGraph] = None) -> ImplicationReport:
-    """Run all four deciders on a shared pair graph and cross-check them."""
-    graph = _graph_or_build(network, graph)
+    """Run all four deciders on a shared pair graph, built when not given,
+    and cross-check them."""
+    graph = build(network) if graph is None else graph
     verdicts = {kind: DECIDERS[kind](network, graph) for kind in ObservabilityType}
-    flags = {kind: verdict.observable for kind, verdict in verdicts.items()}
-    matrix = {
-        (a, b): (not flags[a]) or flags[b]
-        for a in ObservabilityType
-        for b in ObservabilityType
-    }
     violations = tuple(
-        pair for pair in REQUIRED_IMPLICATIONS if not matrix[pair]
+        (a, b)
+        for a, b in REQUIRED_IMPLICATIONS
+        if verdicts[a].observable and not verdicts[b].observable
     )
-    return ImplicationReport(verdicts, matrix, violations)
+    return ImplicationReport(verdicts, violations)
 
 
 def type_automata(
-    network: Bcn, kind: ObservabilityType, graph: Optional[PairGraph] = None
+    network: Bcn, kind: ObservabilityType, graph: PairGraph
 ) -> list[tuple[str, Dfa]]:
     """The labeled machines a decider inspects, for rendering and tests.
 
@@ -274,7 +263,6 @@ def type_automata(
     TYPE_III: the single machine seeded with every confusable pair, when
     any exists.
     """
-    graph = _graph_or_build(network, graph)
     nondiag = graph.nondiagonal.tolist()
     if kind is ObservabilityType.TYPE_I:
         return [
@@ -293,28 +281,14 @@ def type_automata(
     raise ValueError(f"unknown observability type {kind!r}")
 
 
-def exact_oracle_horizon(
-    network: Bcn, kind: ObservabilityType, graph: Optional[PairGraph] = None
-) -> int:
+def exact_oracle_horizon(network: Bcn, kind: ObservabilityType, graph: PairGraph) -> int:
     """Word length at which exhaustive search is conclusive for a network.
 
     Types II and IV: the confusable-pair count (a shortest separating word,
     when one exists, never revisits a pair).  Types I and III: the largest
-    state count among the subset machines the decider would build, since a
+    state count among the subset machines type_automata lists, since a
     hole is reached within that many letters when one exists.  At least 1.
     """
-    graph = _graph_or_build(network, graph)
-    nondiag = graph.nondiagonal.tolist()
     if kind in (ObservabilityType.TYPE_II, ObservabilityType.TYPE_IV):
-        return max(len(nondiag), 1)
-    if kind is ObservabilityType.TYPE_III:
-        if not nondiag:
-            return 1
-        return max(len(subset_automaton_ids(graph, nondiag).states), 1)
-    if kind is ObservabilityType.TYPE_I:
-        sizes = [
-            len(subset_automaton_ids(graph, seed).states)
-            for seed in _state_seeds(graph).values()
-        ]
-        return max(sizes, default=1)
-    raise ValueError(f"unknown observability type {kind!r}")
+        return max(len(graph.nondiagonal), 1)
+    return max((len(dfa.states) for _, dfa in type_automata(network, kind, graph)), default=1)

@@ -7,7 +7,8 @@ output.  Edge weights are the input subsets, recovered by grouping inputs
 with a common target.
 
 The graph is stored as integer arrays indexed by pair id, ids following
-the (lo, hi) order; PairVertex values appear only in views built on demand.
+the (lo, hi) order.  Verdicts and labels name pair p by its plain (lo, hi)
+tuple, pairs[p].
 """
 
 from __future__ import annotations
@@ -15,26 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
 from .bcn import Bcn
 
 UNREACHED = 1 << 62  # distance of a pair that cannot reach the goal
-
-
-class PairVertex(NamedTuple):
-    lo: int
-    hi: int
-
-    @property
-    def diagonal(self) -> bool:
-        return self.lo == self.hi
-
-    def label(self) -> str:
-        sep = "" if self.hi <= 9 else "-"
-        return f"{self.lo}{sep}{self.hi}"
+Pair = tuple[int, int]  # (lo, hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,9 +101,9 @@ class PairGraph:
         return frozenset(np.flatnonzero(self.exit_distances == UNREACHED).tolist())
 
     @cached_property
-    def pairs(self) -> tuple[PairVertex, ...]:
-        """PairVertex of every id."""
-        return tuple(map(PairVertex._make, zip(self.lo.tolist(), self.hi.tolist())))
+    def pairs(self) -> tuple[Pair, ...]:
+        """(lo, hi) of every id."""
+        return tuple(zip(self.lo.tolist(), self.hi.tolist()))
 
     @cached_property
     def nondiagonal(self) -> np.ndarray:
@@ -122,23 +111,20 @@ class PairGraph:
         return np.flatnonzero(self.lo != self.hi)
 
     @cached_property
-    def vertices(self) -> frozenset[PairVertex]:
+    def vertices(self) -> frozenset[Pair]:
         return frozenset(self.pairs)
 
     @cached_property
-    def successor(self) -> Mapping[PairVertex, Mapping[int, PairVertex]]:
+    def successor(self) -> Mapping[Pair, Mapping[int, Pair]]:
         """successor[v][u] is v's successor under input u; the key is absent
         when that step leaves the graph.  A read-only view."""
         pairs = self.pairs
-        rows: list[dict[int, PairVertex]] = [{} for _ in pairs]
+        rows: list[dict[int, Pair]] = [{} for _ in pairs]
         for letter, targets in enumerate(self.rows, 1):
             for row, target in zip(rows, targets):
                 if target >= 0:
                     row[letter] = pairs[target]
         return MappingProxyType({v: MappingProxyType(r) for v, r in zip(pairs, rows)})
-
-    def vertex(self, p: int) -> PairVertex:
-        return PairVertex(int(self.lo[p]), int(self.hi[p]))
 
 
 def build(network: Bcn) -> PairGraph:

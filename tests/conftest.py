@@ -17,8 +17,8 @@ def fixture_bcn(name: str):
     return document_to_bcn(load_document(fixture_path(name)))
 
 
-def golden_text(name: str) -> str:
-    return (GOLDEN_DIR / f"{name}.dot").read_text(encoding="utf-8")
+def golden_text(name: str, suffix: str = ".dot") -> str:
+    return (GOLDEN_DIR / f"{name}{suffix}").read_text(encoding="utf-8")
 
 
 @pytest.fixture(scope="session")

@@ -33,8 +33,9 @@ from bcnobs.bcn import Bcn, output, step
 from bcnobs.bcnio import BcnDocument
 from bcnobs.observability import AutomatonStat, ObservabilityType, Verdict
 from bcnobs.oracle import _enumeration_cost
-from bcnobs.pairgraph import PairVertex
 from bcnobs.stp import LogicalMatrix
+
+from pairviews import PairVertex
 
 
 def make_pair(a: int, b: int) -> PairVertex:

@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 from bcnobs.automata import Lasso, find_lasso
 from bcnobs.bcn import bcn_from_columns
 from bcnobs.bcnio import gen_random_bcn
-from bcnobs.pairgraph import PairVertex, build
+from bcnobs.pairgraph import build
 
 import reference
-from pairviews import ids, non_diagonal_vertices, subset_automaton, vertex_automaton
+from pairviews import PairVertex, ids, non_diagonal_vertices, subset_automaton, vertex_automaton
 from reference import accepts
 
 

@@ -12,7 +12,7 @@ from bcnobs.bcnio import emit_dot, gen_random_bcn
 from bcnobs import cli
 from bcnobs.cli import run_cli
 from bcnobs.observability import DECIDERS, ObservabilityType, Verdict
-from bcnobs.pairgraph import PairVertex, build
+from bcnobs.pairgraph import build
 
 from conftest import FIXTURE_DIR, fixture_path, golden_text
 from pairviews import automaton_dot, non_diagonal_vertices
@@ -141,14 +141,24 @@ class TestDecide:
         assert elapsed < 2.0
 
     def test_short_horizon_words_refute_verdict(self, capsys, monkeypatch):
-        def wrong(network, graph=None):
-            return Verdict(ObservabilityType.TYPE_II, False, offending_pair=PairVertex(2, 3))
+        def wrong(network, graph):
+            return Verdict(ObservabilityType.TYPE_II, False, offending_pair=(2, 3))
 
         monkeypatch.setitem(DECIDERS, ObservabilityType.TYPE_II, wrong)
         code = run_cli(["decide", BCN5, "--type", "II", "--oracle-check", "--horizon", "1"])
         assert code == 1
         out = capsys.readouterr().out
         assert "oracle II: horizon 1, observable, DISAGREES (horizon not conclusive)" in out
+
+    @pytest.mark.parametrize("name", ["bcn5", "bcn6", "bcn7"])
+    def test_witness_oracle_stdout_and_report_bytes(self, tmp_path, capsys, name):
+        target = tmp_path / "report.json"
+        argv = ["decide", str(fixture_path(name)), "--witness", "--oracle-check"]
+        assert run_cli(argv + ["--json", str(target)]) == 0
+        assert capsys.readouterr().out == golden_text(f"{name}_decide", ".txt")
+        report = json.loads(target.read_text())
+        del report["timings_ms"]  # the one field that varies between runs
+        assert json.dumps(report, indent=2) + "\n" == golden_text(f"{name}_decide", ".json")
 
     def test_json_report(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -221,6 +231,44 @@ class TestAutomata:
         assert len(builds) == 7  # 3 type I states, 3 pairs shared by II and IV, 1 type III
 
 
+class TestTwoDigitLabels:
+    """Pair (i, j) is labeled 'ij' while j <= 9 and 'i-j' from j = 10 on;
+    text and JSON output always write it 'i,j'."""
+
+    @pytest.fixture
+    def document(self, tmp_path):
+        network = gen_random_bcn(0, 4, 1, 1)  # 16 states, one output bit
+        path = tmp_path / "random16.json"
+        path.write_text(json.dumps({
+            "n": 4, "m": 1, "q": 1, "ordering": "input-first",
+            "L": list(network.transition.col_index), "H": list(network.output_map.col_index),
+        }))
+        return str(path)
+
+    def test_graph_vertices(self, capsys, document):
+        assert run_cli(["graph", document]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert '  "29";' in lines and '  "2-10";' in lines and '  "1-12";' in lines
+        assert '  "112";' not in lines
+
+    def test_automaton_state_joins_pair_labels(self, capsys, document):
+        assert run_cli(["automata", document, "--type", "I"]) == 0
+        out = capsys.readouterr().out
+        # state 1's machine starts from its six confusable pairs
+        assert '// automaton_I_state_1\n' in out
+        assert '  __start -> "13,14,16,1-12,1-15,1-16";\n' in out
+
+    def test_witness_pairs(self, tmp_path, capsys, document):
+        target = tmp_path / "report.json"
+        argv = ["decide", document, "--type", "II", "--witness", "--json", str(target)]
+        assert run_cli(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "type II: observable"
+        assert "  pair (1,3): [2]" in lines and "  pair (1,12): [2]" in lines
+        witnesses = json.loads(target.read_text())["verdicts"]["II"]["witnesses"]
+        assert witnesses["1,3"] == [2] and witnesses["1,12"] == [2]
+
+
 class TestRandom:
     def test_check_implications(self, capsys):
         code = run_cli([
@@ -280,7 +328,7 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
-        def broken(network, graph=None):
+        def broken(network, graph):
             raise ValueError("shape mismatch")
 
         monkeypatch.setitem(DECIDERS, ObservabilityType.TYPE_II, broken)

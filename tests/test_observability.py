@@ -16,7 +16,9 @@ from bcnobs.observability import (
     implication_matrix,
     type_automata,
 )
-from bcnobs.pairgraph import PairVertex
+from bcnobs.pairgraph import build
+
+from pairviews import PairVertex
 
 T_I = ObservabilityType.TYPE_I
 T_II = ObservabilityType.TYPE_II
@@ -39,7 +41,8 @@ VERDICT_TABLE = [
 @pytest.mark.parametrize("fixture,expected", VERDICT_TABLE)
 def test_verdict_table(fixture, expected, request):
     network = request.getfixturevalue(fixture)
-    got = tuple(DECIDERS[kind](network).observable for kind in ObservabilityType)
+    graph = build(network)
+    got = tuple(DECIDERS[kind](network, graph).observable for kind in ObservabilityType)
     assert got == expected
 
 
@@ -58,7 +61,7 @@ class TestTypeI:
 
     def test_injective_output_map_is_trivially_observable(self):
         network = bcn_from_columns(1, 1, 1, (2, 1, 1, 2), (1, 2), "input-first")
-        verdict = decide_type_i(network)
+        verdict = decide_type_i(network, build(network))
         assert verdict.observable
         assert dict(verdict.determining) == {}
         assert verdict.any_word_states == frozenset([1, 2])
@@ -78,7 +81,7 @@ class TestTypeII:
 
     def test_constant_output_not_observable(self):
         network = bcn_from_columns(1, 1, 1, (1, 2, 2, 1), (1, 1), "input-first")
-        verdict = decide_type_ii(network)
+        verdict = decide_type_ii(network, build(network))
         assert not verdict.observable
         assert verdict.offending_pair == v(1, 2)
         assert verdict.automaton_stats == (AutomatonStat("pair graph", 3, True),)
@@ -93,9 +96,9 @@ class TestTypeIII:
             AutomatonStat("all confusable pairs", 1, False),
         )
 
-    def test_bcn5_and_bcn7_complete_machines(self, bcn5, bcn7):
-        for network, size in ((bcn5, 1), (bcn7, 1)):
-            verdict = decide_type_iii(network)
+    def test_bcn5_and_bcn7_complete_machines(self, bcn5, graph5, bcn7, graph7):
+        for network, graph, size in ((bcn5, graph5, 1), (bcn7, graph7, 1)):
+            verdict = decide_type_iii(network, graph)
             assert not verdict.observable
             assert verdict.automaton_stats == (
                 AutomatonStat("all confusable pairs", size, True),
@@ -103,7 +106,7 @@ class TestTypeIII:
 
     def test_no_confusable_pairs(self):
         network = bcn_from_columns(1, 1, 1, (2, 1, 1, 2), (1, 2), "input-first")
-        verdict = decide_type_iii(network)
+        verdict = decide_type_iii(network, build(network))
         assert verdict.observable
         assert verdict.universal_word == (1,)
 
@@ -124,7 +127,7 @@ class TestTypeIV:
 
     def test_no_confusable_pairs(self):
         network = bcn_from_columns(1, 1, 1, (2, 1, 1, 2), (1, 2), "input-first")
-        assert decide_type_iv(network).observable
+        assert decide_type_iv(network, build(network)).observable
 
 
 class TestImplications:
@@ -136,9 +139,9 @@ class TestImplications:
 
     def test_strictness_witnesses(self, bcn5, bcn6, bcn7):
         # II holds without I, III without IV, I without III
-        assert not implication_matrix(bcn5).matrix[(T_II, T_I)]
-        assert not implication_matrix(bcn6).matrix[(T_III, T_IV)]
-        assert not implication_matrix(bcn7).matrix[(T_I, T_III)]
+        for network, held, failed in ((bcn5, T_II, T_I), (bcn6, T_III, T_IV), (bcn7, T_I, T_III)):
+            verdicts = implication_matrix(network).verdicts
+            assert verdicts[held].observable and not verdicts[failed].observable
 
     @given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 2), st.integers(1, 2))
     def test_random_networks_consistent(self, seed, n, m, q):
@@ -158,8 +161,9 @@ class TestExactHorizon:
 
     def test_trivial_network_floor(self):
         network = bcn_from_columns(1, 1, 1, (2, 1, 1, 2), (1, 2), "input-first")
+        graph = build(network)
         for kind in ObservabilityType:
-            assert exact_oracle_horizon(network, kind) == 1
+            assert exact_oracle_horizon(network, kind, graph) == 1
 
 
 class TestTypeAutomata:
@@ -175,5 +179,6 @@ class TestTypeAutomata:
 
     def test_no_machines_without_confusable_pairs(self):
         network = bcn_from_columns(1, 1, 1, (2, 1, 1, 2), (1, 2), "input-first")
+        graph = build(network)
         for kind in ObservabilityType:
-            assert type_automata(network, kind) == []
+            assert type_automata(network, kind, graph) == []

@@ -14,6 +14,7 @@ from bcnobs.oracle import (
     distinguishes,
     verify_witness,
 )
+from bcnobs.pairgraph import build
 
 import reference
 
@@ -109,10 +110,11 @@ class TestBruteForce:
     @pytest.mark.parametrize("kind", list(ObservabilityType))
     def test_agrees_with_deciders_on_fixtures(self, fixture, kind, request):
         network = request.getfixturevalue(fixture)
-        horizon = exact_oracle_horizon(network, kind)
+        graph = build(network)
+        horizon = exact_oracle_horizon(network, kind, graph)
         oracle = brute_force(network, kind, horizon, sufficient_horizon=horizon)
         assert oracle.exact
-        assert oracle.observable == DECIDERS[kind](network).observable
+        assert oracle.observable == DECIDERS[kind](network, graph).observable
 
 
 @pytest.mark.parametrize("oracle_observable,exact,decided,refutes", [
@@ -204,7 +206,7 @@ def test_oracle_matches_decider_at_pair_count_horizon(seed, kind):
     horizon = max(len(confusable_pairs(network)), 1)
     oracle = brute_force(network, kind, horizon)
     assert oracle.exact
-    assert oracle.observable == DECIDERS[kind](network).observable
+    assert oracle.observable == DECIDERS[kind](network, build(network)).observable
 
 
 def test_type_iv_exact_length_only(bcn5):

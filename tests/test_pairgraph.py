@@ -3,9 +3,9 @@ from hypothesis import given, strategies as st
 
 from bcnobs.bcn import output, step
 from bcnobs.bcnio import gen_random_bcn
-from bcnobs.pairgraph import PairVertex, build
+from bcnobs.pairgraph import build
 
-from pairviews import edges, non_diagonal_vertices
+from pairviews import PairVertex, edges, non_diagonal_vertices, pair_vertices
 from reference import make_pair
 
 
@@ -89,7 +89,7 @@ def _definition_check(network):
             if output(network, a) == output(network, b):
                 expected_vertices.add(make_pair(b, a))
     assert graph.vertices == frozenset(expected_vertices)
-    for vertex in graph.vertices:
+    for vertex in pair_vertices(graph):
         for control in range(1, network.n_inputs + 1):
             target = make_pair(
                 step(network, vertex.hi, control), step(network, vertex.lo, control)
@@ -118,7 +118,7 @@ def test_diagonal_closure(seed, n, m, q):
         row = graph.successor[v(state, state)]
         assert sorted(row) == list(range(1, network.n_inputs + 1))
         for target in row.values():
-            assert target.diagonal
+            assert PairVertex._make(target).diagonal
 
 
 @given(st.integers(0, 2 ** 32))

@@ -131,12 +131,12 @@ def test_pair_witnesses_are_least_shortest(network):
     graph = build(network)
     verdict = DECIDERS[ObservabilityType.TYPE_II](network, graph)
     assume(verdict.observable and verdict.distinguishing)
-    for vertex, word in verdict.distinguishing.items():
+    for (lo, hi), word in verdict.distinguishing.items():
         assume(network.n_inputs ** len(word) <= 4096)
         expected = next(
             w
             for w in _words_up_to(network.n_inputs, len(word))
-            if distinguishes(network, vertex.lo, vertex.hi, w)
+            if distinguishes(network, lo, hi, w)
         )
         assert word == expected
 

@@ -9,10 +9,10 @@ from bcnobs.automata import subset_automaton_ids
 from bcnobs.bcnio import build_report, gen_random_bcn
 from bcnobs.observability import ObservabilityType, decide_type_ii, decide_type_iv, type_automata
 from bcnobs.oracle import confusable_pairs, verify_witness
-from bcnobs.pairgraph import PairVertex, build
+from bcnobs.pairgraph import build
 
 import reference
-from pairviews import as_vertices
+from pairviews import PairVertex, as_vertices, pair_vertices
 from reference import make_pair, pair_successor, reachable_subgraph
 
 
@@ -162,7 +162,7 @@ def test_pair_successor_examples(graph5, bcn5):
 
 
 def test_pair_successor_agrees_with_edges(graph5, bcn5):
-    for vertex in graph5.vertices:
+    for vertex in pair_vertices(graph5):
         for control in (1, 2):
             got = pair_successor(graph5, bcn5, vertex, control)
             assert got == graph5.successor[vertex].get(control)
