@@ -43,6 +43,12 @@ def main():
         "missed, and as inconclusive otherwise",
     )
     args = parser.parse_args()
+    try:
+        gen_random_bcn(args.start_seed, args.n, args.m, args.q)
+    except ValueError as exc:
+        parser.error(f"--n/--m/--q: {exc}")
+    if args.oracle_budget < 2 ** args.m:
+        parser.error(f"--oracle-budget must cover a single-letter search ({2 ** args.m} words)")
 
     profiles = collections.Counter()
     violations = 0

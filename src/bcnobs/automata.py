@@ -12,9 +12,8 @@ distance at each step, which spells the least shortest word.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,66 +29,71 @@ class Dfa:
 
     Each state is a set of pair-graph pairs, as the ascending tuple of
     their ids.  states is in breadth-first discovery order from the
-    initial state, so every listed state is reachable.  hole is the
-    lexicographically least shortest word that runs off the transitions,
-    None exactly when the machine is complete.
+    initial state, so every listed state is reachable.
     """
 
     alphabet_size: int
     states: tuple[Subset, ...]
     initial: Subset
     transitions: dict[Subset, dict[int, Subset]]
-    hole: Optional[Word]
 
 
-def subset_automaton_ids(
-    graph: PairGraph, seed: Iterable[int], dead: AbstractSet[int] = frozenset()
-) -> Dfa:
+def subset_automaton_ids(graph: PairGraph, seed: Iterable[int]) -> Dfa:
     """Determinised reachability machine of the pair graph, over pair ids.
 
     States are the nonempty id subsets reachable from the seed set, as
     ascending tuples; input j sends a subset to the set of j-successors of
     its members, and the transition is left undefined when that set is
-    empty.  Subsets leave the queue in discovery order with the word that
-    found them and try letters in ascending order, as a breadth-first walk
-    of the finished machine would, so the first empty set met is its hole.
-
-    Given the dead pairs (PairGraph.dead), subsets holding one are dropped,
-    with their transitions, leaving the explored part of the machine; a
-    seed holding one is complete at once.  The hole is the same: a dead
-    pair steps only onto dead pairs, so no hole lies beyond a dropped
-    subset, and every subset on the word finding a kept one is kept, as a
-    dead pair there would be carried forward.  So kept subsets leave the
-    queue in the full machine's order with the same words, and the first
-    empty set met is still the lexicographically least shortest hole.
+    empty.  States are found breadth first, letters in ascending order.
     """
-    rows = graph.rows
     initial = tuple(sorted(set(seed)))
-    states = [initial]
+    states = [initial]  # also the queue: iteration reaches each appended state
     seen = {initial}
     transitions: dict[Subset, dict[int, Subset]] = {}
+    for subset in states:
+        row = transitions[subset] = {}
+        for letter, step in enumerate(graph.rows, 1):
+            targets = {step[p] for p in subset}
+            targets.discard(-1)
+            if targets:
+                row[letter] = successor = tuple(sorted(targets))
+                if successor not in seen:
+                    seen.add(successor)
+                    states.append(successor)
+    return Dfa(graph.n_inputs, tuple(states), initial, transitions)
+
+
+def least_hole(graph: PairGraph, seed: Iterable[int]) -> tuple[Optional[Word], int]:
+    """The lexicographically least shortest word running off the subset
+    machine of the seed (subset_automaton_ids), None when it is complete,
+    and the number of subsets kept; no machine is built.
+
+    Breadth first with each subset's word, letters ascending, as a walk of
+    the finished machine would go, so the first empty set met is the hole.
+    Subsets holding a dead pair (PairGraph.dead) are skipped, and a seed
+    holding one is complete at once.  The hole is the same: a dead pair
+    steps only onto dead pairs, so no hole lies beyond a skipped subset,
+    and every subset on the word finding a kept one is kept, as a dead
+    pair there would be carried forward.
+    """
+    rows, dead = graph.rows, graph.dead
+    initial = tuple(sorted(set(seed)))
+    seen = {initial}
+    queue = [(initial, ())] if dead.isdisjoint(initial) else []
     hole: Optional[Word] = None
-    queue = deque([(initial, ())] if dead.isdisjoint(initial) else [])
-    while queue:
-        subset, word = queue.popleft()
-        row: dict[int, Subset] = {}
+    for subset, word in queue:
         for letter, step in enumerate(rows, 1):
             targets = {step[p] for p in subset}
             targets.discard(-1)
             if not targets:
                 if hole is None:
                     hole = word + (letter,)
-                continue
-            if not dead.isdisjoint(targets):
-                continue
-            successor = tuple(sorted(targets))
-            row[letter] = successor
-            if successor not in seen:
-                seen.add(successor)
-                states.append(successor)
-                queue.append((successor, word + (letter,)))
-        transitions[subset] = row
-    return Dfa(graph.n_inputs, tuple(states), initial, transitions, hole)
+            elif dead.isdisjoint(targets):
+                successor = tuple(sorted(targets))
+                if successor not in seen:
+                    seen.add(successor)
+                    queue.append((successor, word + (letter,)))
+    return hole, len(seen)
 
 
 def _shortest_words(graph: PairGraph, dist: np.ndarray, exit_dist: int) -> list:

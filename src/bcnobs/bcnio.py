@@ -89,6 +89,8 @@ def parse_document(text: str) -> BcnDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("JSON nested too deeply to parse") from None
     if not isinstance(raw, dict):
         raise DocumentError("document top level must be an object")
     unknown = set(raw) - _TOP_LEVEL_FIELDS
@@ -180,6 +182,8 @@ def load_document(path) -> BcnDocument:
             text = handle.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8 text: {exc}") from None
     return parse_document(text)
 
 

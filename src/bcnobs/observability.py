@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .automata import (
     Dfa,
     Lasso,
     Word,
     find_lasso,
+    least_hole,
     shortest_exit_words,
     subset_automaton_ids,
 )
@@ -67,10 +68,10 @@ class Verdict:
       TYPE_IV   not observable: lasso is an input walk along which the
                 offending_pair never separates, loopable forever.
 
-    automaton_stats records every machine the decider built, in build order;
-    for types I and III its size counts the subsets the search explored,
-    which drops those holding a dead pair.  Type II records its one search
-    over the whole pair graph.
+    automaton_stats records every machine the decider searched, in order;
+    for types I and III (least_hole, which builds no machine) its size
+    counts the subsets kept, leaving out those holding a dead pair.  Type
+    II records its one search over the whole pair graph.
     """
 
     kind: ObservabilityType
@@ -113,26 +114,26 @@ def _state_seeds(graph: PairGraph) -> dict[int, list[int]]:
 def decide_type_i(network: Bcn, graph: PairGraph) -> Verdict:
     """Per-state decision.
 
-    Only states occurring in some confusable pair need a machine; for each,
+    Only states occurring in some confusable pair need a search; for each,
     the seed is the set of its confusable pairs, and a hole in the
-    determinised machine is a word that empties every candidate set.  The
-    searches skip subsets holding a dead pair, which never empty.
+    determinised machine is a word that empties every candidate set.
+    least_hole skips subsets holding a dead pair, which never empty.
     """
     seeds = _state_seeds(graph)
     trivial = frozenset(range(1, network.n_states + 1)) - frozenset(seeds)
     stats: list[AutomatonStat] = []
     words: dict[int, Word] = {}
     for state, seed in seeds.items():
-        dfa = subset_automaton_ids(graph, seed, graph.dead)
-        stats.append(AutomatonStat(f"state {state}", len(dfa.states), dfa.hole is None))
-        if dfa.hole is None:
+        hole, searched = least_hole(graph, seed)
+        stats.append(AutomatonStat(f"state {state}", searched, hole is None))
+        if hole is None:
             return Verdict(
                 kind=ObservabilityType.TYPE_I,
                 observable=False,
                 offending_state=state,
                 automaton_stats=tuple(stats),
             )
-        words[state] = dfa.hole
+        words[state] = hole
     return Verdict(
         kind=ObservabilityType.TYPE_I,
         observable=True,
@@ -168,21 +169,20 @@ def decide_type_ii(network: Bcn, graph: PairGraph) -> Verdict:
 
 
 def decide_type_iii(network: Bcn, graph: PairGraph) -> Verdict:
-    """One machine seeded with every confusable pair; a hole is a word that
-    settles all of them at once.  The search skips subsets holding a dead
-    pair, so a seed holding one is complete at once.  No confusable pairs
-    means any single input works."""
+    """One search (least_hole) seeded with every confusable pair; a hole is
+    a word that settles all of them at once.  A seed holding a dead pair is
+    complete at once.  No confusable pairs means any single input works."""
     nondiag = graph.nondiagonal.tolist()
     if not nondiag:
         return Verdict(
             kind=ObservabilityType.TYPE_III, observable=True, universal_word=(1,)
         )
-    dfa = subset_automaton_ids(graph, nondiag, graph.dead)
-    stats = (AutomatonStat("all confusable pairs", len(dfa.states), dfa.hole is None),)
+    hole, searched = least_hole(graph, nondiag)
+    stats = (AutomatonStat("all confusable pairs", searched, hole is None),)
     return Verdict(
         kind=ObservabilityType.TYPE_III,
-        observable=dfa.hole is not None,
-        universal_word=dfa.hole,
+        observable=hole is not None,
+        universal_word=hole,
         automaton_stats=stats,
     )
 
@@ -253,8 +253,9 @@ def implication_matrix(network: Bcn, graph: Optional[PairGraph] = None) -> Impli
 
 def type_automata(
     network: Bcn, kind: ObservabilityType, graph: PairGraph
-) -> list[tuple[str, Dfa]]:
-    """The labeled machines a decider inspects, for rendering and tests.
+) -> Iterator[tuple[str, Dfa]]:
+    """The labeled machines a decider's search walks, for rendering and for
+    the oracle horizon, built one at a time as the iterator is read.
 
     TYPE_I: one subset machine per state with confusable partners.
     TYPE_II and TYPE_IV: the same list, one machine per confusable pair,
@@ -262,22 +263,23 @@ def type_automata(
     on the whole graph at once).
     TYPE_III: the single machine seeded with every confusable pair, when
     any exists.
+    These are the full machines: dead pairs are kept, and none records a
+    hole.  An unknown kind raises ValueError at the call.
     """
     nondiag = graph.nondiagonal.tolist()
     if kind is ObservabilityType.TYPE_I:
-        return [
+        return (
             (f"state_{state}", subset_automaton_ids(graph, seed))
             for state, seed in _state_seeds(graph).items()
-        ]
+        )
     if kind in (ObservabilityType.TYPE_II, ObservabilityType.TYPE_IV):
-        return [
+        return (
             (f"pair_{graph.lo[p]}_{graph.hi[p]}", subset_automaton_ids(graph, [p]))
             for p in nondiag
-        ]
+        )
     if kind is ObservabilityType.TYPE_III:
-        if not nondiag:
-            return []
-        return [("all_pairs", subset_automaton_ids(graph, nondiag))]
+        seeds = [nondiag] if nondiag else []
+        return (("all_pairs", subset_automaton_ids(graph, seed)) for seed in seeds)
     raise ValueError(f"unknown observability type {kind!r}")
 
 

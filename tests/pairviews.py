@@ -70,7 +70,7 @@ def as_vertices(graph: PairGraph, dfa: Dfa, single: bool = False) -> Dfa:
         for state, row in dfa.transitions.items()
     }
     states = tuple(map(name, dfa.states))
-    return Dfa(dfa.alphabet_size, states, name(dfa.initial), transitions, dfa.hole)
+    return Dfa(dfa.alphabet_size, states, name(dfa.initial), transitions)
 
 
 def subset_automaton(graph: PairGraph, seed: Iterable[PairVertex]) -> Dfa:

@@ -12,9 +12,10 @@
   the identity and delta constructors, the dense round trip and the
   inverse of bool_tuple_index that the checks are written in.
 - Word runs on networks (trajectory) and on automata (accepts).
-- The walks over a finished machine that the library's subset construction
-  replaced by recording its own hole (is_complete, shortest_undefined_word),
-  and the oracle's old count-down rule for fitting a horizon to a budget.
+- The walks over a finished machine (is_complete, shortest_undefined_word),
+  which the library's hole search, automata.least_hole, replaced and is
+  checked against, and the oracle's old count-down rule for fitting a
+  horizon to a budget.
 - The canonical document writer, which only the round-trip tests use.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -131,10 +132,6 @@ def shortest_undefined_word(dfa: Dfa) -> Optional[Word]:
     return None
 
 
-def _with_hole(dfa: Dfa) -> Dfa:
-    return replace(dfa, hole=shortest_undefined_word(dfa))
-
-
 def subset_automaton(graph, initial_vertices: Iterable[PairVertex]) -> Dfa:
     """Determinised reachability machine over PairVertex subsets."""
     initial = tuple(sorted(set(initial_vertices)))
@@ -160,7 +157,7 @@ def subset_automaton(graph, initial_vertices: Iterable[PairVertex]) -> Dfa:
                 states.append(successor)
                 queue.append(successor)
         transitions[subset] = row
-    return _with_hole(Dfa(graph.n_inputs, tuple(states), initial, transitions, None))
+    return Dfa(graph.n_inputs, tuple(states), initial, transitions)
 
 
 def vertex_automaton(graph, start: PairVertex) -> Dfa:
@@ -178,7 +175,7 @@ def vertex_automaton(graph, start: PairVertex) -> Dfa:
                 seen.add(target)
                 states.append(target)
                 queue.append(target)
-    return _with_hole(Dfa(graph.n_inputs, tuple(states), start, transitions, None))
+    return Dfa(graph.n_inputs, tuple(states), start, transitions)
 
 
 def _non_diagonal(graph) -> list[PairVertex]:

@@ -23,7 +23,7 @@ from bcnobs.pairgraph import build
 from conftest import golden_text
 from dotcheck import dot_structure
 from pairviews import PairVertex, automaton_dot, edges, non_diagonal_vertices, subset_automaton, vertex_automaton
-from reference import accepts
+from reference import accepts, shortest_undefined_word
 
 T_I = ObservabilityType.TYPE_I
 T_II = ObservabilityType.TYPE_II
@@ -82,7 +82,7 @@ def test_criterion_1_pair_graph_fixture(criterion, bcn5):
 def test_criterion_2_automaton_fixtures(criterion, graph5, graph7):
     with criterion(2, "automaton fixtures", budget_ms=50.0):
         state2 = subset_automaton(graph5, [v(2, 3), v(2, 4)])
-        assert len(state2.states) == 3 and state2.hole is None
+        assert len(state2.states) == 3 and shortest_undefined_word(state2) is None
         assert dot_structure(automaton_dot(graph5, [v(2, 3), v(2, 4)])) == dot_structure(golden_text("bcn5_subset_state2"))
 
         expected = {
@@ -99,7 +99,7 @@ def test_criterion_2_automaton_fixtures(criterion, graph5, graph7):
 
         nondiag7 = sorted(non_diagonal_vertices(graph7))
         all_pairs7 = subset_automaton(graph7, nondiag7)
-        assert len(all_pairs7.states) == 4 and all_pairs7.hole is None
+        assert len(all_pairs7.states) == 4 and shortest_undefined_word(all_pairs7) is None
         assert dot_structure(automaton_dot(graph7, nondiag7)) == dot_structure(golden_text("bcn7_subset_all_pairs"))
 
         for seed, golden in [([v(1, 2)], "bcn7_subset_state1"), ([v(3, 4)], "bcn7_subset_state3")]:
@@ -217,7 +217,7 @@ def _bounded_acceptance_matches(dfa):
             for length in range(0, bound + 1)
         )
         assert accepted == all(accepts(dfa, w) for w in words)
-    return (dfa.hole is None) == accepted
+    return (shortest_undefined_word(dfa) is None) == accepted
 
 
 def test_criterion_7_completeness_bound(criterion, graph5, graph7):

@@ -1,16 +1,18 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bcnobs.automata import Lasso, find_lasso
+from bcnobs.automata import Lasso, find_lasso, least_hole
 from bcnobs.bcn import bcn_from_columns
 from bcnobs.bcnio import gen_random_bcn
 from bcnobs.pairgraph import build
 
 import reference
+from conftest import golden_text
 from pairviews import PairVertex, ids, non_diagonal_vertices, subset_automaton, vertex_automaton
-from reference import accepts
+from reference import accepts, shortest_undefined_word
 
 
 def v(a, b):
@@ -31,12 +33,12 @@ class TestSubsetAutomaton:
             s((2, 2)): {1: s((2, 2)), 2: s((1, 1))},
             s((1, 1)): {1: s((1, 1)), 2: s((1, 1))},
         }
-        assert dfa.hole is None
+        assert shortest_undefined_word(dfa) is None
 
     def test_bcn5_all_pairs_machine(self, graph5):
         dfa = subset_automaton(graph5, sorted(non_diagonal_vertices(graph5)))
         assert len(dfa.states) == 3
-        assert dfa.hole is None
+        assert shortest_undefined_word(dfa) is None
 
     def test_bcn7_all_pairs_machine(self, graph7):
         dfa = subset_automaton(graph7, sorted(non_diagonal_vertices(graph7)))
@@ -47,15 +49,15 @@ class TestSubsetAutomaton:
         assert dfa.transitions[s((1, 2), (3, 4))] == {1: s((1, 1)), 2: s((2, 2))}
         assert dfa.transitions[s((2, 2))] == {1: s((1, 1)), 2: s((3, 3))}
         assert dfa.transitions[s((3, 3))] == {1: s((1, 1)), 2: s((2, 2))}
-        assert dfa.hole is None
+        assert shortest_undefined_word(dfa) is None
 
     def test_bcn7_single_state_machines(self, graph7):
         state1 = subset_automaton(graph7, [v(1, 2)])
         assert len(state1.states) == 2
-        assert state1.hole == (2,)
+        assert shortest_undefined_word(state1) == (2,)
         state3 = subset_automaton(graph7, [v(3, 4)])
         assert len(state3.states) == 4
-        assert state3.hole == (1,)
+        assert shortest_undefined_word(state3) == (1,)
 
     def test_all_states_final_and_reachable(self, graph5, graph7):
         for graph in (graph5, graph7):
@@ -83,8 +85,7 @@ class TestVertexAutomaton:
         for vertex, (size, hole) in expected.items():
             dfa = vertex_automaton(graph5, vertex)
             assert len(dfa.states) == size
-            assert dfa.hole is not None
-            assert dfa.hole == hole
+            assert shortest_undefined_word(dfa) == hole
 
     def test_undefined_inputs_at_initial(self, graph5):
         undefined = {
@@ -143,12 +144,49 @@ def test_complete_iff_no_undefined_word(seed):
     network = gen_random_bcn(seed, 2, 1, 1)
     graph = build(network)
     for vertex in sorted(non_diagonal_vertices(graph)):
+        hole, _ = least_hole(graph, ids(graph, [vertex]))
         for dfa in (
             vertex_automaton(graph, vertex),
             subset_automaton(graph, [vertex]),
         ):
-            assert reference.is_complete(dfa) == (dfa.hole is None)
-            assert reference.shortest_undefined_word(dfa) == dfa.hole
+            assert reference.is_complete(dfa) == (hole is None)
+            assert reference.shortest_undefined_word(dfa) == hole
+
+
+class TestLeastHole:
+    def test_fixture_holes(self, graph5, graph7):
+        assert least_hole(graph5, ids(graph5, [v(2, 3), v(2, 4)])) == (None, 1)
+        assert least_hole(graph5, ids(graph5, [v(2, 3)])) == ((2,), 1)
+        assert least_hole(graph7, ids(graph7, [v(1, 2)])) == ((2,), 1)
+        assert least_hole(graph7, ids(graph7, [v(3, 4)])) == ((1,), 1)
+
+    def test_seed_holding_a_dead_pair_is_complete_at_once(self, graph5):
+        # (1, 1) never leaves the graph; the search keeps only the seed
+        assert least_hole(graph5, ids(graph5, [v(1, 1), v(2, 4)])) == (None, 1)
+
+    def test_pinned_holes_and_counts(self, request):
+        """(hole, subsets kept) for every type I and III seed, as the subset
+        construction that skipped dead pairs recorded them before the
+        search was split from the machine build.  Every fixture search
+        keeps one subset, so the random 32-state networks pin the counts."""
+        pins = json.loads(golden_text("least_hole_pins", ".json"))
+        assert len(pins) == 13
+        for name, pinned in pins.items():
+            if name.startswith("bcn"):
+                network = request.getfixturevalue(name)
+            else:
+                network = gen_random_bcn(int(name.rsplit("_", 1)[1]), 5, 2, 3)
+            graph = build(network)
+            nondiag, lo, hi = graph.nondiagonal.tolist(), graph.lo.tolist(), graph.hi.tolist()
+            found = []
+            for state in range(1, network.n_states + 1):
+                seed = [p for p in nondiag if state in (lo[p], hi[p])]
+                if seed:
+                    hole, searched = least_hole(graph, seed)
+                    found.append([state, hole and list(hole), searched])
+            assert found == pinned["I"], name
+            hole, searched = least_hole(graph, nondiag)
+            assert [hole and list(hole), searched] == pinned["III"], name
 
 
 def _lasso_is_valid(graph, lasso):

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import bcnobs.automata
 import bcnobs.observability
 from bcnobs.bcnio import emit_dot, gen_random_bcn
 from bcnobs import cli
@@ -160,6 +161,17 @@ class TestDecide:
         del report["timings_ms"]  # the one field that varies between runs
         assert json.dumps(report, indent=2) + "\n" == golden_text(f"{name}_decide", ".json")
 
+    @pytest.mark.parametrize("name", ["bcn5", "bcn6", "bcn7"])
+    def test_deciders_build_no_machine(self, capsys, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError("a decider built a subset machine")
+
+        monkeypatch.setattr(bcnobs.automata, "subset_automaton_ids", refuse)
+        monkeypatch.setattr(bcnobs.observability, "subset_automaton_ids", refuse)
+        assert run_cli(["decide", str(fixture_path(name)), "--type", "all", "--witness"]) == 0
+        golden = golden_text(f"{name}_decide", ".txt")
+        assert capsys.readouterr().out == golden[: golden.index("\noracle ") + 1]
+
     def test_json_report(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code = run_cli(["decide", BCN5, "--oracle-check", "--json", str(target)])
@@ -306,6 +318,17 @@ class TestErrors:
         bad.write_text('{"n": 2}')
         assert run_cli(["decide", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decide", "graph"])
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[" * 200_000], ids=["not-utf8", "nested-too-deep"]
+    )
+    def test_unparsable_bytes_are_bad_input(self, capsys, tmp_path, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert run_cli([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["abc", "-5", "0", "1"])
     def test_bad_budget_env(self, capsys, monkeypatch, value):

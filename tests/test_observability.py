@@ -181,4 +181,4 @@ class TestTypeAutomata:
         network = bcn_from_columns(1, 1, 1, (2, 1, 1, 2), (1, 2), "input-first")
         graph = build(network)
         for kind in ObservabilityType:
-            assert type_automata(network, kind, graph) == []
+            assert list(type_automata(network, kind, graph)) == []

@@ -5,6 +5,7 @@ import itertools
 from hypothesis import assume, given, settings, strategies as st
 
 from bcnobs.bcn import bcn_from_columns
+from bcnobs.automata import least_hole
 from bcnobs.bcnio import emit_dot
 from bcnobs.observability import (
     DECIDERS,
@@ -16,7 +17,7 @@ from bcnobs.oracle import brute_force, confusable_pairs, distinguishes, verify_w
 from bcnobs.pairgraph import build
 
 from dotcheck import validate_dot
-from pairviews import automaton_dot, non_diagonal_vertices, subset_automaton, vertex_automaton
+from pairviews import automaton_dot, ids, non_diagonal_vertices, subset_automaton, vertex_automaton
 from reference import accepts
 
 
@@ -103,7 +104,8 @@ def test_completeness_matches_bounded_acceptance(network):
     bound = len(dfa.states) + 1
     assume(network.n_inputs ** bound <= 4096)
     all_accepted = all(accepts(dfa, w) for w in _words_up_to(network.n_inputs, bound))
-    assert (dfa.hole is None) == all_accepted
+    hole, _ = least_hole(graph, ids(graph, nondiag))
+    assert (hole is None) == all_accepted
 
 
 @given(networks(max_n=2))
@@ -113,7 +115,7 @@ def test_shortest_hole_is_least(network):
     nondiag = sorted(non_diagonal_vertices(graph))
     assume(nondiag)
     dfa = subset_automaton(graph, nondiag)
-    word = dfa.hole
+    word, _ = least_hole(graph, ids(graph, nondiag))
     assume(word is not None)
     assume(network.n_inputs ** len(word) <= 4096)
     assert not accepts(dfa, word)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bcnobs.automata import subset_automaton_ids
+from bcnobs.automata import least_hole, subset_automaton_ids
 from bcnobs.bcnio import build_report, gen_random_bcn
 from bcnobs.observability import ObservabilityType, decide_type_ii, decide_type_iv, type_automata
 from bcnobs.oracle import confusable_pairs, verify_witness
@@ -81,19 +81,21 @@ def test_matches_reference(request):
     assert 0 < observable[ObservabilityType.TYPE_IV] < len(cases)
 
 
-def _check_holes(machines, label):
-    """Each machine's recorded hole against the walks over the finished
+def _check_holes(graph, machines, label):
+    """least_hole from each machine's seed against the walks over the full
     machine; returns how many machines were complete."""
     complete = 0
     for name, dfa in machines:
-        assert dfa.hole == reference.shortest_undefined_word(dfa), (label, name)
-        assert (dfa.hole is None) == reference.is_complete(dfa), (label, name)
-        complete += dfa.hole is None
+        hole, searched = least_hole(graph, dfa.initial)
+        assert hole == reference.shortest_undefined_word(dfa), (label, name)
+        assert (hole is None) == reference.is_complete(dfa), (label, name)
+        assert 1 <= searched <= len(dfa.states), (label, name)
+        complete += hole is None
     return complete
 
 
 def test_holes_match_walks(request):
-    """Every machine type_automata returns, per-pair ones included."""
+    """Every seed type_automata lists, per-pair ones included."""
     cases = list(_fixture_networks(request)) + list(_random_networks(200))
     machines = complete = 0
     for label, network in cases:
@@ -101,28 +103,29 @@ def test_holes_match_walks(request):
             continue
         graph = build(network)
         for kind in ObservabilityType:
-            found = type_automata(network, kind, graph)
-            complete += _check_holes(found, label)
+            found = list(type_automata(network, kind, graph))
+            complete += _check_holes(graph, found, label)
             machines += len(found)
     assert 0 < complete < machines
 
 
 def test_holes_match_walks_subset_search_size():
-    """Type I and III machines of 32-state networks with 4 inputs."""
+    """Type I and III seeds of 32-state networks with 4 inputs."""
     machines = complete = 0
     for seed in range(10):
         network = gen_random_bcn(seed, 5, 2, 3)
         graph = build(network)
         for kind in (ObservabilityType.TYPE_I, ObservabilityType.TYPE_III):
-            found = type_automata(network, kind, graph)
-            complete += _check_holes(found, f"seed {seed}")
+            found = list(type_automata(network, kind, graph))
+            complete += _check_holes(graph, found, f"seed {seed}")
             machines += len(found)
     assert 0 < complete < machines
 
 
 def test_pruned_search_matches_full_construction(request):
-    """The subset search that drops subsets holding a dead pair finds the
-    same hole as the full construction, on the type I and III seeds."""
+    """The subset search that skips subsets holding a dead pair finds the
+    same hole as the full construction, on the type I and III seeds, and
+    keeps fewer subsets overall."""
     cases = [
         case
         for case in list(_fixture_networks(request)) + list(_random_networks(200))
@@ -138,11 +141,11 @@ def test_pruned_search_matches_full_construction(request):
         seeds = [nondiag] + [[p for p in nondiag if x in (lo[p], hi[p])] for x in states]
         for seed in filter(None, seeds):
             full = subset_automaton_ids(graph, seed)
-            pruned = subset_automaton_ids(graph, seed, graph.dead)
-            assert pruned.hole == full.hole, label
-            assert set(pruned.states) <= set(full.states), label
-            outcomes.add(full.hole is None)
-            kept += len(pruned.states)
+            hole, searched = least_hole(graph, seed)
+            assert hole == reference.shortest_undefined_word(full), label
+            assert searched <= len(full.states), label
+            outcomes.add(hole is None)
+            kept += searched
             full_size += len(full.states)
     assert outcomes == {True, False}  # complete and incomplete machines
     assert kept < full_size

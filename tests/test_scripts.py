@@ -42,6 +42,16 @@ def test_implication_sweep():
     assert "implication violations: 0" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "args, option", [(["--n", "9"], "--n"), (["--oracle-budget", "0"], "--oracle-budget")]
+)
+def test_implication_sweep_rejects_bad_arguments(args, option):
+    proc = _run("implication_sweep.py", "--seeds", "1", *args)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and option in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_implication_sweep_builds_one_graph_per_network(monkeypatch, capsys):
     builds = []
     original = bcnobs.pairgraph.build
