@@ -6,7 +6,11 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping, Optional
+
+import numpy as np
 
 from .automata import Dfa
 from .bcn import Bcn, bcn_from_columns
@@ -187,22 +191,26 @@ def load_document(path) -> BcnDocument:
     return parse_document(text)
 
 
-def _grouped_edge_lines(rows: list[tuple[str, int, str]]) -> list[str]:
-    """Collapse (source, letter, target) triples into labeled edge lines."""
-    grouped: dict[tuple[str, str], list[int]] = {}
-    for source, letter, target in rows:
-        grouped.setdefault((source, target), []).append(letter)
-    lines = []
-    for (source, target), letters in sorted(grouped.items()):
-        label = ",".join(str(u) for u in sorted(letters))
-        lines.append(f'  "{source}" -> "{target}" [label="{label}"];')
-    return lines
-
-
 def _label(pair: Pair) -> str:
     """'ij' for the pair (i, j), written 'i-j' once j has two digits."""
     lo, hi = pair
     return f"{lo}-{hi}" if hi > 9 else f"{lo}{hi}"
+
+
+def _edge_lines(labels: list[str], sources, letters, targets) -> list[str]:
+    """One edge line per (source, target) index pair into the unique labels,
+    in label string order; the stable sort keeps the letters' given order."""
+    rank = np.empty(len(labels), dtype=np.int64)
+    rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    keys = rank[sources] * len(labels) + rank[targets]
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1)).tolist()
+    spelled, first = list(map(str, letters[order].tolist())), order[starts]
+    ends = starts[1:] + [len(order)]
+    return [
+        f'  "{labels[s]}" -> "{labels[t]}" [label="{",".join(spelled[a:b])}"];'
+        for s, t, a, b in zip(sources[first].tolist(), targets[first].tolist(), starts, ends)
+    ]
 
 
 def emit_dot(graph: PairGraph) -> str:
@@ -211,18 +219,13 @@ def emit_dot(graph: PairGraph) -> str:
     Vertices are labeled 'ij' for the pair (i, j).  Everything is emitted
     sorted, so equal graphs give byte-identical output.
     """
-    lines = ["digraph pair_graph {", "  rankdir=LR;", "  node [shape=circle];"]
     labels = list(map(_label, graph.pairs))
-    lines.extend(f'  "{label}";' for label in labels)
-    rows = [
-        (labels[p], letter, labels[target])
-        for letter, step in enumerate(graph.rows, 1)
-        for p, target in enumerate(step)
-        if target >= 0
-    ]
-    lines.extend(_grouped_edge_lines(rows))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    letters, sources = np.nonzero(graph.succ >= 0)  # letters ascending
+    lines = ["digraph pair_graph {", "  rankdir=LR;", "  node [shape=circle];"]
+    lines.append('  "' + '";\n  "'.join(labels) + '";')
+    lines.extend(_edge_lines(labels, sources, letters + 1, graph.succ[letters, sources]))
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def emit_automaton_dot(graph: PairGraph, dfa: Dfa) -> str:
@@ -231,24 +234,16 @@ def emit_automaton_dot(graph: PairGraph, dfa: Dfa) -> str:
     A state is labeled by its pairs' 'ij' labels joined with commas, and
     everything is emitted sorted, as for emit_dot.
     """
-    pairs = graph.pairs
-    name = {state: ",".join(_label(pairs[p]) for p in state) for state in dfa.states}
+    states = sorted(dfa.states)  # every state accepts
+    ids = {state: i for i, state in enumerate(states)}
+    names = [",".join(_label(graph.pairs[p]) for p in state) for state in states]
     lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=none, label=""];']
-    for state in sorted(dfa.states):  # every state accepts
-        lines.append(f'  "{name[state]}" [shape=doublecircle];')
-    lines.append(f'  __start -> "{name[dfa.initial]}";')
-    rows = [
-        (name[state], letter, name[target])
-        for state in sorted(dfa.states)
-        for letter, target in sorted(dfa.transitions[state].items())
-    ]
-    lines.extend(_grouped_edge_lines(rows))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _word_json(word) -> Optional[list]:
-    return None if word is None else list(word)
+    lines.extend(f'  "{name}" [shape=doublecircle];' for name in names)
+    lines.append(f'  __start -> "{names[ids[dfa.initial]]}";')
+    edges = [(ids[x], u, ids[y]) for x in states for u, y in sorted(dfa.transitions[x].items())]
+    lines.extend(_edge_lines(names, *np.array(edges, dtype=np.int64).reshape(-1, 3).T))
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def _verdict_json(verdict: Verdict) -> dict:
@@ -272,7 +267,8 @@ def _verdict_json(verdict: Verdict) -> dict:
             list(verdict.offending_pair) if verdict.offending_pair else None
         )
     elif kind is ObservabilityType.TYPE_III:
-        body["witness"] = _word_json(verdict.universal_word)
+        word = verdict.universal_word
+        body["witness"] = None if word is None else list(word)
     else:
         body["offending_pair"] = (
             list(verdict.offending_pair) if verdict.offending_pair else None
@@ -330,6 +326,35 @@ def build_report(
     if witnesses_verified is not None:
         report["witnesses_verified"] = witnesses_verified
     return report
+
+
+def report_text(report: Mapping) -> str:
+    """json.dumps(report, indent=2) plus a newline, for string keys, in one join."""
+    return "".join(_json_pieces(report, "\n", []) + ["\n"])
+
+
+def _json_pieces(value, pad: str, out: list[str]) -> list[str]:
+    """Append the pieces of json.dumps(value, indent=2), the value starting a line
+    at pad; a list of ints is one piece, and witness maps spell each word once."""
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)) and set(map(type, value)) == {int}:
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]")
+    elif isinstance(value, (dict, list, tuple)) and value:
+        is_map = isinstance(value, dict)
+        items = list(value.values()) if is_map else value
+        keys = map("{}: ".format, map(_quote, value)) if is_map else repeat("")
+        seps = chain(["{" + inner if is_map else "[" + inner], repeat("," + inner))
+        if set(map(type, items)) == {list} and set(map(type, chain.from_iterable(items))) <= {int}:
+            words = {w: "".join(_json_pieces(list(w), inner, [])) for w in set(map(tuple, items))}
+            out += chain.from_iterable(zip(seps, keys, map(words.__getitem__, map(tuple, items))))
+        else:
+            for sep, key, item in zip(seps, keys, items):
+                out += (sep, key)
+                _json_pieces(item, inner, out)
+        out.append(pad + ("}" if is_map else "]"))
+    else:  # a string, number, true, false, null, {} or []
+        out.append(json.dumps(value))
+    return out
 
 
 MAX_VARS = 8

@@ -11,7 +11,6 @@ can be overridden with BCNOBS_ENUM_BUDGET.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -28,6 +27,7 @@ from .bcnio import (
     gen_random_bcn,
     load_document,
     document_to_bcn,
+    report_text,
 )
 from .observability import (
     DECIDERS,
@@ -116,7 +116,7 @@ def _selected_types(choice: str) -> list[ObservabilityType]:
     return [ObservabilityType(choice)]
 
 
-def _budget_from_env() -> int:
+def _budget_from_env(n_inputs: int) -> int:
     raw = os.environ.get("BCNOBS_ENUM_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
@@ -124,13 +124,16 @@ def _budget_from_env() -> int:
         budget = int(raw)
     except ValueError:
         raise DocumentError(f"BCNOBS_ENUM_BUDGET must be an integer, got {raw!r}") from None
-    if budget < 1:
-        raise DocumentError("BCNOBS_ENUM_BUDGET must be positive")
+    if budget < n_inputs:  # at least 2, so the budget is positive
+        raise DocumentError(
+            f"BCNOBS_ENUM_BUDGET {budget} cannot cover a single-letter search"
+            f" over {n_inputs} inputs"
+        )
     return budget
 
 
 def _word_text(word) -> str:
-    return "[" + ",".join(str(u) for u in word) + "]"
+    return "[" + ",".join(map(str, word)) + "]"
 
 
 def _verdict_lines(verdict: Verdict, show_witness: bool) -> list[str]:
@@ -152,13 +155,13 @@ def _verdict_lines(verdict: Verdict, show_witness: bool) -> list[str]:
     lines = [f"type {verdict.kind.value}: {flag}{detail}"]
     if show_witness and verdict.observable:
         if verdict.kind is ObservabilityType.TYPE_I:
-            for state, word in sorted(verdict.determining.items()):
-                lines.append(f"  state {state}: {_word_text(word)}")
-            for state in sorted(verdict.any_word_states):
-                lines.append(f"  state {state}: any single input")
+            words = {w: _word_text(w) for w in set(verdict.determining.values())}
+            lines += [f"  state {x}: {words[w]}" for x, w in sorted(verdict.determining.items())]
+            lines += [f"  state {x}: any single input" for x in sorted(verdict.any_word_states)]
         elif verdict.kind is ObservabilityType.TYPE_II:
-            for (a, b), word in sorted(verdict.distinguishing.items()):
-                lines.append(f"  pair ({a},{b}): {_word_text(word)}")
+            words = {w: _word_text(w) for w in set(verdict.distinguishing.values())}
+            pairs = sorted(verdict.distinguishing.items())
+            lines += [f"  pair ({a},{b}): {words[w]}" for (a, b), w in pairs]
         elif verdict.kind is ObservabilityType.TYPE_III:
             lines.append(f"  witness word {_word_text(verdict.universal_word)}")
     return lines
@@ -171,6 +174,15 @@ def _writing(path):
         yield
     except OSError as exc:
         raise DocumentError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _claim(path: Optional[str], directory: bool = False) -> None:
+    """Create any output file or directory first: a bad path fails fast."""
+    with _writing(path):
+        if path and directory:
+            Path(path).mkdir(parents=True, exist_ok=True)
+        elif path:
+            open(path, "a").close()
 
 
 def _load(path: str) -> tuple[Bcn, Optional[str]]:
@@ -187,9 +199,8 @@ def _cmd_decide(args) -> int:
     if args.horizon is not None and args.horizon < 1:
         raise DocumentError("--horizon must be at least 1")
     network, name = _load(args.file)
-    if args.json:  # an unwritable report path fails before the deciding
-        with _writing(args.json):
-            open(args.json, "a").close()
+    budget = _budget_from_env(network.n_inputs) if args.oracle_check else None
+    _claim(args.json)
     graph = build(network)
     kinds = _selected_types(args.type)
     verdicts: dict[ObservabilityType, Verdict] = {}
@@ -198,20 +209,13 @@ def _cmd_decide(args) -> int:
         started = time.perf_counter()
         verdicts[kind] = DECIDERS[kind](network, graph)
         timings[kind] = (time.perf_counter() - started) * 1000.0
-    for kind in kinds:
-        for line in _verdict_lines(verdicts[kind], args.witness):
-            print(line)
+    lines = [line for kind in kinds for line in _verdict_lines(verdicts[kind], args.witness)]
+    sys.stdout.write("\n".join(lines + [""]))
 
     exit_code = EXIT_OK
     oracle_results = None
     witnesses_verified = None
     if args.oracle_check:
-        budget = _budget_from_env()
-        if budget < network.n_inputs:
-            raise DocumentError(
-                f"BCNOBS_ENUM_BUDGET {budget} cannot cover a single-letter search"
-                f" over {network.n_inputs} inputs"
-            )
         oracle_results = {}
         for kind in kinds:
             conclusive = exact_oracle_horizon(network, kind, graph)
@@ -252,12 +256,13 @@ def _cmd_decide(args) -> int:
             witnesses_verified=witnesses_verified,
         )
         with _writing(args.json):
-            Path(args.json).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+            Path(args.json).write_text(report_text(report), encoding="utf-8")
     return exit_code
 
 
 def _cmd_graph(args) -> int:
     network, _ = _load(args.file)
+    _claim(args.dot)
     text = emit_dot(build(network))
     if args.dot:
         with _writing(args.dot):
@@ -269,6 +274,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_automata(args) -> int:
     network, _ = _load(args.file)
+    _claim(args.dot_dir, directory=True)
     graph = build(network)
     rendered: list[tuple[str, str]] = []
     texts: dict[ObservabilityType, list[tuple[str, str]]] = {}
@@ -284,7 +290,6 @@ def _cmd_automata(args) -> int:
     if args.dot_dir:
         directory = Path(args.dot_dir)
         with _writing(directory):
-            directory.mkdir(parents=True, exist_ok=True)
             for label, text in rendered:
                 (directory / f"{label}.dot").write_text(text, encoding="utf-8")
         for label, _ in rendered:

@@ -17,6 +17,10 @@
   checked against, and the oracle's old count-down rule for fitting a
   horizon to a budget.
 - The canonical document writer, which only the round-trip tests use.
+- The output path the CLI replaced: the DOT renderers that group edges in
+  a dict and sort the (source label, target label) strings, and the
+  verdict lines spelled one line and one word at a time.  The tests
+  compare the bulk renderers against them byte for byte.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from bcnobs.automata import Dfa, Lasso, Word
 from bcnobs.bcn import Bcn, output, step
-from bcnobs.bcnio import BcnDocument
+from bcnobs.bcnio import BcnDocument, _label
 from bcnobs.observability import AutomatonStat, ObservabilityType, Verdict
 from bcnobs.oracle import _enumeration_cost
 from bcnobs.stp import LogicalMatrix
@@ -429,3 +433,86 @@ def serialize_document(document: BcnDocument) -> str:
         body["update"] = {k: document.update_table[k] for k in sorted(document.update_table)}
         body["output"] = {k: document.output_table[k] for k in sorted(document.output_table)}
     return json.dumps(body, indent=2) + "\n"
+
+
+def _grouped_edge_lines(rows: list[tuple[str, int, str]]) -> list[str]:
+    """Collapse (source, letter, target) triples into labeled edge lines."""
+    grouped: dict[tuple[str, str], list[int]] = {}
+    for source, letter, target in rows:
+        grouped.setdefault((source, target), []).append(letter)
+    lines = []
+    for (source, target), letters in sorted(grouped.items()):
+        label = ",".join(str(u) for u in sorted(letters))
+        lines.append(f'  "{source}" -> "{target}" [label="{label}"];')
+    return lines
+
+
+def emit_dot(graph) -> str:
+    """Graphviz source for a pair graph, edges grouped one at a time."""
+    lines = ["digraph pair_graph {", "  rankdir=LR;", "  node [shape=circle];"]
+    labels = list(map(_label, graph.pairs))
+    lines.extend(f'  "{label}";' for label in labels)
+    rows = [
+        (labels[p], letter, labels[target])
+        for letter, step in enumerate(graph.rows, 1)
+        for p, target in enumerate(step)
+        if target >= 0
+    ]
+    lines.extend(_grouped_edge_lines(rows))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def emit_automaton_dot(graph, dfa: Dfa) -> str:
+    """Graphviz source for a machine over the graph's pair ids, edges
+    grouped one at a time."""
+    pairs = graph.pairs
+    name = {state: ",".join(_label(pairs[p]) for p in state) for state in dfa.states}
+    lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=none, label=""];']
+    for state in sorted(dfa.states):
+        lines.append(f'  "{name[state]}" [shape=doublecircle];')
+    lines.append(f'  __start -> "{name[dfa.initial]}";')
+    rows = [
+        (name[state], letter, name[target])
+        for state in sorted(dfa.states)
+        for letter, target in sorted(dfa.transitions[state].items())
+    ]
+    lines.extend(_grouped_edge_lines(rows))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _word_text(word) -> str:
+    return "[" + ",".join(str(u) for u in word) + "]"
+
+
+def verdict_lines(verdict: Verdict, show_witness: bool) -> list[str]:
+    """The lines bcnobs decide prints for one verdict, one at a time."""
+    flag = "observable" if verdict.observable else "not observable"
+    detail = ""
+    if not verdict.observable:
+        if verdict.kind is ObservabilityType.TYPE_I:
+            detail = f" (offending state {verdict.offending_state})"
+        elif verdict.kind is ObservabilityType.TYPE_II:
+            a, b = verdict.offending_pair
+            detail = f" (offending pair ({a},{b}))"
+        elif verdict.kind is ObservabilityType.TYPE_IV:
+            a, b = verdict.offending_pair
+            lasso = verdict.lasso
+            detail = (
+                f" (pair ({a},{b}) rides prefix {_word_text(lasso.prefix)}"
+                f" then cycle {_word_text(lasso.cycle)} forever)"
+            )
+    lines = [f"type {verdict.kind.value}: {flag}{detail}"]
+    if show_witness and verdict.observable:
+        if verdict.kind is ObservabilityType.TYPE_I:
+            for state, word in sorted(verdict.determining.items()):
+                lines.append(f"  state {state}: {_word_text(word)}")
+            for state in sorted(verdict.any_word_states):
+                lines.append(f"  state {state}: any single input")
+        elif verdict.kind is ObservabilityType.TYPE_II:
+            for (a, b), word in sorted(verdict.distinguishing.items()):
+                lines.append(f"  pair ({a},{b}): {_word_text(word)}")
+        elif verdict.kind is ObservabilityType.TYPE_III:
+            lines.append(f"  witness word {_word_text(verdict.universal_word)}")
+    return lines

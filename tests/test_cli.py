@@ -337,6 +337,32 @@ class TestErrors:
         assert code == 2
         assert "BCNOBS_ENUM_BUDGET" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "1"])
+    def test_bad_budget_fails_before_any_work(self, capsys, monkeypatch, tmp_path, value):
+        monkeypatch.setenv("BCNOBS_ENUM_BUDGET", value)
+        target = tmp_path / "r.json"
+        assert run_cli(["decide", BCN5, "--oracle-check", "--json", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "BCNOBS_ENUM_BUDGET" in captured.err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["graph", BCN5, "--dot", "{missing}/g.dot"],
+        ["automata", BCN5, "--type", "all", "--dot-dir", "{taken}"],
+        ["decide", BCN5, "--json", "{missing}/r.json"],
+    ], ids=["graph", "automata", "decide"])
+    def test_unwritable_path_fails_before_building(self, capsys, monkeypatch, tmp_path, argv):
+        def refuse(network):
+            raise AssertionError("built the pair graph before checking the output path")
+
+        monkeypatch.setattr(cli, "build", refuse)
+        (tmp_path / "taken").write_text("")
+        paths = {"missing": tmp_path / "missing", "taken": tmp_path / "taken"}
+        assert run_cli([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
     def test_horizon_below_one_is_bad_input(self, capsys):
         code = run_cli(["decide", BCN5, "--oracle-check", "--horizon", "0"])
         assert code == 2
