@@ -63,10 +63,12 @@ def subset_automaton_ids(graph: PairGraph, seed: Iterable[int]) -> Dfa:
     return Dfa(graph.n_inputs, tuple(states), initial, transitions)
 
 
-def least_hole(graph: PairGraph, seed: Iterable[int]) -> tuple[Optional[Word], int]:
+def least_hole(graph: PairGraph, seed: Iterable[int]) -> tuple[Optional[Word], int, int]:
     """The lexicographically least shortest word running off the subset
-    machine of the seed (subset_automaton_ids), None when it is complete,
-    and the number of subsets kept; no machine is built.
+    machine of the seed (subset_automaton_ids), None when it is complete;
+    the number of subsets kept; and the depth of the deepest kept subset
+    plus one (0 when none is kept), a bound on the hole's length.  No
+    machine is built.
 
     Breadth first with each subset's word, letters ascending, as a walk of
     the finished machine would go, so the first empty set met is the hole.
@@ -74,7 +76,8 @@ def least_hole(graph: PairGraph, seed: Iterable[int]) -> tuple[Optional[Word], i
     holding one is complete at once.  The hole is the same: a dead pair
     steps only onto dead pairs, so no hole lies beyond a skipped subset,
     and every subset on the word finding a kept one is kept, as a dead
-    pair there would be carried forward.
+    pair there would be carried forward.  So a hole of length L passes
+    through kept subsets at depths 0 to L - 1, which gives the bound.
     """
     rows, dead = graph.rows, graph.dead
     initial = tuple(sorted(set(seed)))
@@ -93,7 +96,7 @@ def least_hole(graph: PairGraph, seed: Iterable[int]) -> tuple[Optional[Word], i
                 if successor not in seen:
                     seen.add(successor)
                     queue.append((successor, word + (letter,)))
-    return hole, len(seen)
+    return hole, len(seen), len(queue[-1][1]) + 1 if queue else 0
 
 
 def _shortest_words(graph: PairGraph, dist: np.ndarray, exit_dist: int) -> list:

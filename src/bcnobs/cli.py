@@ -284,7 +284,7 @@ def _cmd_automata(args) -> int:
         if shared not in texts:
             texts[shared] = [
                 (label, emit_automaton_dot(graph, dfa))
-                for label, dfa in type_automata(network, shared, graph)
+                for label, dfa in type_automata(graph, shared)
             ]
         rendered.extend((f"automaton_{kind.value}_{label}", text) for label, text in texts[shared])
     if args.dot_dir:

@@ -124,7 +124,7 @@ def decide_type_i(network: Bcn, graph: PairGraph) -> Verdict:
     stats: list[AutomatonStat] = []
     words: dict[int, Word] = {}
     for state, seed in seeds.items():
-        hole, searched = least_hole(graph, seed)
+        hole, searched, _ = least_hole(graph, seed)
         stats.append(AutomatonStat(f"state {state}", searched, hole is None))
         if hole is None:
             return Verdict(
@@ -177,7 +177,7 @@ def decide_type_iii(network: Bcn, graph: PairGraph) -> Verdict:
         return Verdict(
             kind=ObservabilityType.TYPE_III, observable=True, universal_word=(1,)
         )
-    hole, searched = least_hole(graph, nondiag)
+    hole, searched, _ = least_hole(graph, nondiag)
     stats = (AutomatonStat("all confusable pairs", searched, hole is None),)
     return Verdict(
         kind=ObservabilityType.TYPE_III,
@@ -251,46 +251,42 @@ def implication_matrix(network: Bcn, graph: Optional[PairGraph] = None) -> Impli
     return ImplicationReport(verdicts, violations)
 
 
-def type_automata(
-    network: Bcn, kind: ObservabilityType, graph: PairGraph
-) -> Iterator[tuple[str, Dfa]]:
-    """The labeled machines a decider's search walks, for rendering and for
-    the oracle horizon, built one at a time as the iterator is read.
-
-    TYPE_I: one subset machine per state with confusable partners.
-    TYPE_II and TYPE_IV: the same list, one machine per confusable pair,
-    seeded with that pair alone (the deciders search the same structures
-    on the whole graph at once).
-    TYPE_III: the single machine seeded with every confusable pair, when
-    any exists.
-    These are the full machines: dead pairs are kept, and none records a
-    hole.  An unknown kind raises ValueError at the call.
-    """
+def _labeled_seeds(graph: PairGraph, kind: ObservabilityType) -> list[tuple[str, list[int]]]:
+    """The labeled seed of every machine a decider's search walks: per
+    state with confusable partners its confusable pairs (TYPE_I); each
+    confusable pair alone (TYPE_II and TYPE_IV, whose deciders search the
+    whole graph at once); all of them, if any (TYPE_III)."""
     nondiag = graph.nondiagonal.tolist()
     if kind is ObservabilityType.TYPE_I:
-        return (
-            (f"state_{state}", subset_automaton_ids(graph, seed))
-            for state, seed in _state_seeds(graph).items()
-        )
+        return [(f"state_{state}", seed) for state, seed in _state_seeds(graph).items()]
     if kind in (ObservabilityType.TYPE_II, ObservabilityType.TYPE_IV):
-        return (
-            (f"pair_{graph.lo[p]}_{graph.hi[p]}", subset_automaton_ids(graph, [p]))
-            for p in nondiag
-        )
+        return [(f"pair_{graph.lo[p]}_{graph.hi[p]}", [p]) for p in nondiag]
     if kind is ObservabilityType.TYPE_III:
-        seeds = [nondiag] if nondiag else []
-        return (("all_pairs", subset_automaton_ids(graph, seed)) for seed in seeds)
+        return [("all_pairs", nondiag)] if nondiag else []
     raise ValueError(f"unknown observability type {kind!r}")
+
+
+def type_automata(graph: PairGraph, kind: ObservabilityType) -> Iterator[tuple[str, Dfa]]:
+    """The full machines of _labeled_seeds, dead pairs kept, built one at
+    a time as the iterator is read; an unknown kind raises ValueError at
+    the call."""
+    seeds = _labeled_seeds(graph, kind)
+    return ((label, subset_automaton_ids(graph, seed)) for label, seed in seeds)
 
 
 def exact_oracle_horizon(network: Bcn, kind: ObservabilityType, graph: PairGraph) -> int:
     """Word length at which exhaustive search is conclusive for a network.
 
-    Types II and IV: the confusable-pair count (a shortest separating word,
-    when one exists, never revisits a pair).  Types I and III: the largest
-    state count among the subset machines type_automata lists, since a
-    hole is reached within that many letters when one exists.  At least 1.
+    Type II: N - k for N states in k output classes (Moore 1956: refining
+    the output classes by successors settles within N - k rounds), never
+    more than the confusable-pair count.  Type IV: the confusable-pair
+    count.  Types I and III: the largest hole bound least_hole gives over
+    _labeled_seeds, every type I state included; no machine is built.
+    At least 1.
     """
-    if kind in (ObservabilityType.TYPE_II, ObservabilityType.TYPE_IV):
+    if kind is ObservabilityType.TYPE_II:
+        return max(network.n_states - len(set(network.output_map.col_index)), 1)
+    if kind is ObservabilityType.TYPE_IV:
         return max(len(graph.nondiagonal), 1)
-    return max((len(dfa.states) for _, dfa in type_automata(network, kind, graph)), default=1)
+    bounds = [least_hole(graph, seed)[2] for _, seed in _labeled_seeds(graph, kind)]
+    return max(bounds + [1])

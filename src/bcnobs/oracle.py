@@ -116,10 +116,10 @@ def brute_force(
 
     Searches words of length up to the horizon (exactly the horizon for
     TYPE_IV, where longer words only separate more).  The exact flag is
-    true when the searched length is known conclusive: at least the
-    confusable-pair count for types II and IV, at least sufficient_horizon
-    (supplied by the caller, typically a subset-machine state count) for
-    types I and III.
+    true when the searched length is known conclusive: at least N - k for
+    N states in k output classes (Moore's bound) for TYPE_II, the
+    confusable-pair count for TYPE_IV, and sufficient_horizon (from the
+    caller, typically exact_oracle_horizon) for types I and III.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -153,7 +153,10 @@ def brute_force(
     else:
         raise ValueError(f"unknown observability type {kind!r}")
 
-    if kind in (ObservabilityType.TYPE_II, ObservabilityType.TYPE_IV):
+    if kind is ObservabilityType.TYPE_II:
+        classes = {output(network, x) for x in range(1, network.n_states + 1)}
+        exact = searched >= network.n_states - len(classes)
+    elif kind is ObservabilityType.TYPE_IV:
         exact = searched >= len(pairs)
     else:
         exact = sufficient_horizon is not None and searched >= sufficient_horizon
@@ -166,14 +169,17 @@ def brute_force(
     )
 
 
-def _state_determinable(network: Bcn, state: int, horizon: int) -> bool:
-    rivals = [
+def _rivals(network: Bcn, state: int) -> list[int]:
+    """The states other than the given one sharing its output."""
+    return [
         x
         for x in range(1, network.n_states + 1)
         if x != state and output(network, x) == output(network, state)
     ]
-    if not rivals:
-        return True
+
+
+def _state_determinable(network: Bcn, state: int, horizon: int) -> bool:
+    rivals = _rivals(network, state)  # none: the first word settles the state
     return any(
         all(distinguishes(network, state, rival, word) for rival in rivals)
         for word in _words_up_to(network.n_inputs, horizon)
@@ -195,12 +201,7 @@ def verify_witness(network: Bcn, kind: ObservabilityType, witness) -> bool:
         word = _as_word(word)
         if not isinstance(state, int) or isinstance(state, bool):
             raise ValueError("TYPE_I witness state must be an int")
-        rivals = [
-            x
-            for x in range(1, network.n_states + 1)
-            if x != state and output(network, x) == output(network, state)
-        ]
-        return all(distinguishes(network, state, rival, word) for rival in rivals)
+        return all(distinguishes(network, state, rival, word) for rival in _rivals(network, state))
     if kind is ObservabilityType.TYPE_II:
         pair, word = _as_pairload(witness, "TYPE_II witness is ((a, b), word)")
         a, b = _as_state_pair(pair)

@@ -132,8 +132,9 @@ def build(network: Bcn) -> PairGraph:
 
     Pairs are enumerated one output class at a time: a state pairs with
     itself and the later members of its class, so the pairs come out in
-    (lo, hi) order without ever forming all N^2 state pairs.  Successor ids
-    are looked up by binary search on the key lo * (N + 1) + hi.
+    (lo, hi) order without ever forming all N^2 state pairs.  The stable
+    sort keeps each class ascending, so pair (a, b) has the id of (a, a)
+    plus the class positions from a up to b.
     """
     n = network.n_states
     out = np.asarray(network.output_map.col_index, dtype=np.int64)
@@ -147,10 +148,9 @@ def build(network: Bcn) -> PairGraph:
     lo = np.repeat(np.arange(1, n + 1), partners)
     within = np.arange(len(lo)) - np.repeat(first, partners)
     hi = by_class[np.repeat(position, partners) + within] + 1
-    keys = lo * (n + 1) + hi
 
     a, b = step[:, lo - 1], step[:, hi - 1]
     t_lo, t_hi = np.minimum(a, b), np.maximum(a, b)
-    target = np.searchsorted(keys, t_lo * (n + 1) + t_hi)
+    target = first[t_lo - 1] + position[t_hi - 1] - position[t_lo - 1]
     succ = np.where(out[t_lo - 1] == out[t_hi - 1], target, -1)
     return PairGraph(n, lo, hi, succ)

@@ -1,7 +1,8 @@
 """Reference code kept for the tests, outside the library.
 
 - The pair-graph code the library replaced: the dict-of-dicts pair graph
-  built by an O(N^2) loop, the subset construction over vertex tuples, the
+  built by an O(N^2) loop, the array build that looked successor ids up by
+  binary search, the subset construction over vertex tuples, the
   per-pair type II decider that builds one reachable machine per
   confusable pair, and the type IV cycle search that tries a
   shortest-return search from each reachable vertex in turn.  They are
@@ -14,8 +15,9 @@
 - Word runs on networks (trajectory) and on automata (accepts).
 - The walks over a finished machine (is_complete, shortest_undefined_word),
   which the library's hole search, automata.least_hole, replaced and is
-  checked against, and the oracle's old count-down rule for fitting a
-  horizon to a budget.
+  checked against, the oracle's old count-down rule for fitting a
+  horizon to a budget, and the old conclusive horizon taken from the full
+  subset machines.
 - The canonical document writer, which only the round-trip tests use.
 - The output path the CLI replaced: the DOT renderers that group edges in
   a dict and sort the (source label, target label) strings, and the
@@ -36,8 +38,9 @@ import numpy as np
 from bcnobs.automata import Dfa, Lasso, Word
 from bcnobs.bcn import Bcn, output, step
 from bcnobs.bcnio import BcnDocument, _label
-from bcnobs.observability import AutomatonStat, ObservabilityType, Verdict
+from bcnobs.observability import AutomatonStat, ObservabilityType, Verdict, type_automata
 from bcnobs.oracle import _enumeration_cost
+from bcnobs.pairgraph import PairGraph
 from bcnobs.stp import LogicalMatrix
 
 from pairviews import PairVertex
@@ -74,6 +77,39 @@ def build(network: Bcn) -> DictPairGraph:
                 row[u] = target
         successor[v] = row
     return DictPairGraph(network.n_inputs, frozenset(vertices), successor)
+
+
+def search_build(network: Bcn) -> PairGraph:
+    """The integer-indexed pair graph, successor ids found by binary search
+    on the key lo * (N + 1) + hi."""
+    n = network.n_states
+    out = np.asarray(network.output_map.col_index, dtype=np.int64)
+    step = np.asarray(network.transition.col_index, dtype=np.int64).reshape(-1, n)
+    by_class = np.argsort(out, kind="stable")
+    position = np.empty(n, dtype=np.int64)
+    position[by_class] = np.arange(n)
+    class_end = np.cumsum(np.bincount(out))[out]
+    partners = class_end - position
+    first = np.cumsum(partners) - partners
+    lo = np.repeat(np.arange(1, n + 1), partners)
+    within = np.arange(len(lo)) - np.repeat(first, partners)
+    hi = by_class[np.repeat(position, partners) + within] + 1
+    keys = lo * (n + 1) + hi
+
+    a, b = step[:, lo - 1], step[:, hi - 1]
+    t_lo, t_hi = np.minimum(a, b), np.maximum(a, b)
+    target = np.searchsorted(keys, t_lo * (n + 1) + t_hi)
+    succ = np.where(out[t_lo - 1] == out[t_hi - 1], target, -1)
+    return PairGraph(n, lo, hi, succ)
+
+
+def machine_horizon(kind: ObservabilityType, graph: PairGraph) -> int:
+    """The conclusive horizon read off the full machines: the confusable-pair
+    count for types II and IV, the largest state count among the subset
+    machines type_automata lists for types I and III.  At least 1."""
+    if kind in (ObservabilityType.TYPE_II, ObservabilityType.TYPE_IV):
+        return max(len(graph.nondiagonal), 1)
+    return max((len(dfa.states) for _, dfa in type_automata(graph, kind)), default=1)
 
 
 def pair_successor(graph, network: Bcn, vertex: PairVertex, control: int) -> Optional[PairVertex]:

@@ -237,7 +237,7 @@ def test_criterion_7_completeness_bound(criterion, graph5, graph7):
             network = gen_random_bcn(seed, 2, 1, 1)
             graph = build(network)
             for kind in ObservabilityType:
-                for _, dfa in type_automata(network, kind, graph):
+                for _, dfa in type_automata(graph, kind):
                     assert _bounded_acceptance_matches(dfa), f"seed {seed}"
 
 

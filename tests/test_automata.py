@@ -144,7 +144,7 @@ def test_complete_iff_no_undefined_word(seed):
     network = gen_random_bcn(seed, 2, 1, 1)
     graph = build(network)
     for vertex in sorted(non_diagonal_vertices(graph)):
-        hole, _ = least_hole(graph, ids(graph, [vertex]))
+        hole, _, _ = least_hole(graph, ids(graph, [vertex]))
         for dfa in (
             vertex_automaton(graph, vertex),
             subset_automaton(graph, [vertex]),
@@ -155,14 +155,15 @@ def test_complete_iff_no_undefined_word(seed):
 
 class TestLeastHole:
     def test_fixture_holes(self, graph5, graph7):
-        assert least_hole(graph5, ids(graph5, [v(2, 3), v(2, 4)])) == (None, 1)
-        assert least_hole(graph5, ids(graph5, [v(2, 3)])) == ((2,), 1)
-        assert least_hole(graph7, ids(graph7, [v(1, 2)])) == ((2,), 1)
-        assert least_hole(graph7, ids(graph7, [v(3, 4)])) == ((1,), 1)
+        assert least_hole(graph5, ids(graph5, [v(2, 3), v(2, 4)])) == (None, 1, 1)
+        assert least_hole(graph5, ids(graph5, [v(2, 3)])) == ((2,), 1, 1)
+        assert least_hole(graph7, ids(graph7, [v(1, 2)])) == ((2,), 1, 1)
+        assert least_hole(graph7, ids(graph7, [v(3, 4)])) == ((1,), 1, 1)
 
     def test_seed_holding_a_dead_pair_is_complete_at_once(self, graph5):
-        # (1, 1) never leaves the graph; the search keeps only the seed
-        assert least_hole(graph5, ids(graph5, [v(1, 1), v(2, 4)])) == (None, 1)
+        # (1, 1) never leaves the graph: the seed is counted but not kept,
+        # so no hole length needs bounding
+        assert least_hole(graph5, ids(graph5, [v(1, 1), v(2, 4)])) == (None, 1, 0)
 
     def test_pinned_holes_and_counts(self, request):
         """(hole, subsets kept) for every type I and III seed, as the subset
@@ -182,10 +183,10 @@ class TestLeastHole:
             for state in range(1, network.n_states + 1):
                 seed = [p for p in nondiag if state in (lo[p], hi[p])]
                 if seed:
-                    hole, searched = least_hole(graph, seed)
+                    hole, searched, _ = least_hole(graph, seed)
                     found.append([state, hole and list(hole), searched])
             assert found == pinned["I"], name
-            hole, searched = least_hole(graph, nondiag)
+            hole, searched, _ = least_hole(graph, nondiag)
             assert [hole and list(hole), searched] == pinned["III"], name
 
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import bcnobs.observability
 from bcnobs.automata import Lasso
 from bcnobs.bcn import bcn_from_columns
 from bcnobs.bcnio import gen_random_bcn
@@ -151,13 +152,24 @@ class TestImplications:
 
 class TestExactHorizon:
     def test_fixture_values(self, bcn5, graph5, bcn6, graph6, bcn7, graph7):
-        assert exact_oracle_horizon(bcn5, T_II, graph5) == 3
+        assert exact_oracle_horizon(bcn5, T_II, graph5) == 2  # 4 states, 2 output classes
         assert exact_oracle_horizon(bcn5, T_IV, graph5) == 3
-        assert exact_oracle_horizon(bcn5, T_III, graph5) == 3
-        assert exact_oracle_horizon(bcn5, T_I, graph5) == 3
+        assert exact_oracle_horizon(bcn5, T_III, graph5) == 1
+        assert exact_oracle_horizon(bcn5, T_I, graph5) == 1
         assert exact_oracle_horizon(bcn6, T_II, graph6) == 2
-        assert exact_oracle_horizon(bcn6, T_III, graph6) == 4
-        assert exact_oracle_horizon(bcn7, T_I, graph7) == 4
+        assert exact_oracle_horizon(bcn6, T_III, graph6) == 1
+        assert exact_oracle_horizon(bcn7, T_I, graph7) == 1
+        assert exact_oracle_horizon(bcn7, T_III, graph7) == 1
+
+    def test_type_iii_at_64_states_builds_no_machine(self, monkeypatch):
+        # the full subset construction explores 2,139,762 subsets here; the
+        # seed holds a dead pair, so the pruned search keeps none
+        def refuse(*args):
+            raise AssertionError("the horizon built a subset machine")
+
+        monkeypatch.setattr(bcnobs.observability, "subset_automaton_ids", refuse)
+        network = gen_random_bcn(1, 6, 1, 2)
+        assert exact_oracle_horizon(network, T_III, build(network)) == 1
 
     def test_trivial_network_floor(self):
         network = bcn_from_columns(1, 1, 1, (2, 1, 1, 2), (1, 2), "input-first")
@@ -168,12 +180,12 @@ class TestExactHorizon:
 
 class TestTypeAutomata:
     def test_bcn7_labels(self, bcn7, graph7):
-        labels_i = [label for label, _ in type_automata(bcn7, T_I, graph7)]
+        labels_i = [label for label, _ in type_automata(graph7, T_I)]
         assert labels_i == ["state_1", "state_2", "state_3", "state_4"]
-        labels_ii = [label for label, _ in type_automata(bcn7, T_II, graph7)]
+        labels_ii = [label for label, _ in type_automata(graph7, T_II)]
         assert labels_ii == ["pair_1_2", "pair_3_4"]
-        assert labels_ii == [label for label, _ in type_automata(bcn7, T_IV, graph7)]
-        (label_iii, dfa_iii), = type_automata(bcn7, T_III, graph7)
+        assert labels_ii == [label for label, _ in type_automata(graph7, T_IV)]
+        (label_iii, dfa_iii), = type_automata(graph7, T_III)
         assert label_iii == "all_pairs"
         assert len(dfa_iii.states) == 4
 
@@ -181,4 +193,4 @@ class TestTypeAutomata:
         network = bcn_from_columns(1, 1, 1, (2, 1, 1, 2), (1, 2), "input-first")
         graph = build(network)
         for kind in ObservabilityType:
-            assert list(type_automata(network, kind, graph)) == []
+            assert list(type_automata(graph, kind)) == []

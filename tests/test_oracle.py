@@ -75,6 +75,12 @@ class TestBruteForce:
         deep = brute_force(bcn6, T_III, 4, sufficient_horizon=4)
         assert deep.observable and deep.exact
 
+    def test_type_ii_exact_at_moore_bound(self, bcn5):
+        # 4 states in 2 output classes: 2 letters settle every pair, though
+        # there are 3 confusable pairs
+        assert brute_force(bcn5, T_II, 2).exact
+        assert not brute_force(bcn5, T_II, 1).exact
+
     def test_types_i_and_iii_need_caller_horizon_for_exactness(self, bcn6):
         assert not brute_force(bcn6, T_I, 4).exact
         assert brute_force(bcn6, T_II, 4).exact

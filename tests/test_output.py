@@ -57,7 +57,7 @@ def test_automaton_dot_matches_reference(request):
             continue
         graph = build(network)
         for kind in (T_I, T_II, T_III):  # type IV lists the type II machines
-            for name, dfa in type_automata(network, kind, graph):
+            for name, dfa in type_automata(graph, kind):
                 assert emit_automaton_dot(graph, dfa) == reference.emit_automaton_dot(
                     graph, dfa
                 ), (label, name)

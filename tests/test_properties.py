@@ -104,7 +104,7 @@ def test_completeness_matches_bounded_acceptance(network):
     bound = len(dfa.states) + 1
     assume(network.n_inputs ** bound <= 4096)
     all_accepted = all(accepts(dfa, w) for w in _words_up_to(network.n_inputs, bound))
-    hole, _ = least_hole(graph, ids(graph, nondiag))
+    hole, _, _ = least_hole(graph, ids(graph, nondiag))
     assert (hole is None) == all_accepted
 
 
@@ -115,7 +115,7 @@ def test_shortest_hole_is_least(network):
     nondiag = sorted(non_diagonal_vertices(graph))
     assume(nondiag)
     dfa = subset_automaton(graph, nondiag)
-    word, _ = least_hole(graph, ids(graph, nondiag))
+    word, _, _ = least_hole(graph, ids(graph, nondiag))
     assume(word is not None)
     assume(network.n_inputs ** len(word) <= 4096)
     assert not accepts(dfa, word)

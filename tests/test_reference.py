@@ -6,9 +6,17 @@ import random
 import pytest
 
 from bcnobs.automata import least_hole, subset_automaton_ids
+from bcnobs.bcn import bcn_from_columns
 from bcnobs.bcnio import build_report, gen_random_bcn
-from bcnobs.observability import ObservabilityType, decide_type_ii, decide_type_iv, type_automata
-from bcnobs.oracle import confusable_pairs, verify_witness
+from bcnobs.observability import (
+    DECIDERS,
+    ObservabilityType,
+    decide_type_ii,
+    decide_type_iv,
+    exact_oracle_horizon,
+    type_automata,
+)
+from bcnobs.oracle import brute_force, confusable_pairs, verify_witness
 from bcnobs.pairgraph import build
 
 import reference
@@ -56,7 +64,7 @@ def test_matches_reference(request):
             for kind, machines in expected.items():
                 found = [
                     (name, as_vertices(graph, dfa, single=kind in (T_II, T_IV)))
-                    for name, dfa in type_automata(network, kind, graph)
+                    for name, dfa in type_automata(graph, kind)
                 ]
                 assert found == machines, (label, kind)
 
@@ -86,7 +94,7 @@ def _check_holes(graph, machines, label):
     machine; returns how many machines were complete."""
     complete = 0
     for name, dfa in machines:
-        hole, searched = least_hole(graph, dfa.initial)
+        hole, searched, _ = least_hole(graph, dfa.initial)
         assert hole == reference.shortest_undefined_word(dfa), (label, name)
         assert (hole is None) == reference.is_complete(dfa), (label, name)
         assert 1 <= searched <= len(dfa.states), (label, name)
@@ -103,7 +111,7 @@ def test_holes_match_walks(request):
             continue
         graph = build(network)
         for kind in ObservabilityType:
-            found = list(type_automata(network, kind, graph))
+            found = list(type_automata(graph, kind))
             complete += _check_holes(graph, found, label)
             machines += len(found)
     assert 0 < complete < machines
@@ -116,7 +124,7 @@ def test_holes_match_walks_subset_search_size():
         network = gen_random_bcn(seed, 5, 2, 3)
         graph = build(network)
         for kind in (ObservabilityType.TYPE_I, ObservabilityType.TYPE_III):
-            found = list(type_automata(network, kind, graph))
+            found = list(type_automata(graph, kind))
             complete += _check_holes(graph, found, f"seed {seed}")
             machines += len(found)
     assert 0 < complete < machines
@@ -141,7 +149,7 @@ def test_pruned_search_matches_full_construction(request):
         seeds = [nondiag] + [[p for p in nondiag if x in (lo[p], hi[p])] for x in states]
         for seed in filter(None, seeds):
             full = subset_automaton_ids(graph, seed)
-            hole, searched = least_hole(graph, seed)
+            hole, searched, _ = least_hole(graph, seed)
             assert hole == reference.shortest_undefined_word(full), label
             assert searched <= len(full.states), label
             outcomes.add(hole is None)
@@ -149,6 +157,71 @@ def test_pruned_search_matches_full_construction(request):
             full_size += len(full.states)
     assert outcomes == {True, False}  # complete and incomplete machines
     assert kept < full_size
+
+
+def _random_network(seed, n, m, q):
+    """gen_random_bcn's draw, without its size cap."""
+    rng = random.Random(seed)
+    columns = [rng.randint(1, 2 ** n) for _ in range(2 ** (n + m))]
+    return bcn_from_columns(n, m, q, columns, [rng.randint(1, 2 ** q) for _ in range(2 ** n)], "input-first")
+
+
+def _shift_register(seed, n, q):
+    """An n-bit feedback shift register under one input bit, its top q bits
+    observed, the register values given to the states in a seeded order."""
+    size = 2 ** n
+    state = list(range(1, size + 1))
+    random.Random(seed).shuffle(state)  # register value -> state
+    value = {x: v for v, x in enumerate(state)}
+    values = [value[x] for x in range(1, size + 1)]
+    columns = [state[((v << 1) % size) | ((v >> (n - 1)) ^ u)] for u in (0, 1) for v in values]
+    return bcn_from_columns(n, 1, q, columns, [(v >> (n - q)) + 1 for v in values], "input-first")
+
+
+def test_build_by_index_matches_binary_search():
+    """Successor ids by index arithmetic against the binary search they
+    replaced, up to 4,096 states."""
+    cases = [(f"random seed {s} {shape}", _random_network(s, *shape))
+             for s in range(3) for shape in ((1, 1, 1), (3, 2, 2), (6, 1, 3), (10, 2, 4), (11, 1, 5))]
+    cases.append(("random seed 0 (12,1,7)", _random_network(0, 12, 1, 7)))
+    cases += [(f"shift seed {s} ({n},1,{q})", _shift_register(s, n, q))
+              for s in range(2) for n, q in ((4, 2), (8, 3), (12, 7))]
+    for label, network in cases:
+        graph, old = build(network), reference.search_build(network)
+        for name in ("lo", "hi", "succ"):
+            assert (getattr(graph, name) == getattr(old, name)).all(), (label, name)
+    assert network.n_states == 4096 and (graph.succ >= 0).any() and (graph.succ < 0).any()
+
+
+def test_horizon_from_pruned_search_against_full_machines():
+    """exact_oracle_horizon against the horizon read off the full machines,
+    on the oracle-check shapes: never larger; the oracle gives the same
+    answer at both; and at the new one it matches the deciders and is
+    conclusive on every negative of types I to III."""
+    budget = 16384  # as bench/ and scripts/implication_sweep.py check the oracle
+    shrunk = tight = negatives = 0
+    for seed in range(8):
+        for shape in ((2, 1, 1), (3, 2, 2), (3, 1, 1), (4, 2, 3)):
+            network = gen_random_bcn(seed, *shape)
+            graph = build(network)
+            label = f"seed {seed} {shape}"
+            for kind in (T_I, T_II, T_III):
+                new = exact_oracle_horizon(network, kind, graph)
+                old = reference.machine_horizon(kind, graph)
+                assert 1 <= new <= old, (label, kind)
+                at_new = brute_force(network, kind, new, budget, sufficient_horizon=new)
+                at_old = brute_force(network, kind, old, budget, sufficient_horizon=old)
+                assert at_new.observable == at_old.observable, (label, kind)
+                verdict = DECIDERS[kind](network, graph)
+                assert at_new.observable == verdict.observable, (label, kind)
+                if not verdict.observable:
+                    assert at_new.exact, (label, kind)
+                    negatives += 1
+                shrunk += new < old
+                tight += verdict.observable and kind is not T_II and new >= 2
+    # the sample has negatives, smaller horizons, and positives whose word
+    # needs the whole bound (the "+ 1" in least_hole's bound is exercised)
+    assert negatives and shrunk and tight
 
 
 def test_make_pair_canonicalises():
