@@ -13,7 +13,8 @@ distance at each step, which spells the least shortest word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -78,9 +79,12 @@ def least_hole(graph: PairGraph, seed: Iterable[int]) -> tuple[Optional[Word], i
     and every subset on the word finding a kept one is kept, as a dead
     pair there would be carried forward.  So a hole of length L passes
     through kept subsets at depths 0 to L - 1, which gives the bound.
+    The result is kept in graph.holes, so a second search of a seed is free.
     """
-    rows, dead = graph.rows, graph.dead
     initial = tuple(sorted(set(seed)))
+    if initial in graph.holes:
+        return graph.holes[initial]
+    rows, dead = graph.rows, graph.dead
     seen = {initial}
     queue = [(initial, ())] if dead.isdisjoint(initial) else []
     hole: Optional[Word] = None
@@ -96,41 +100,77 @@ def least_hole(graph: PairGraph, seed: Iterable[int]) -> tuple[Optional[Word], i
                 if successor not in seen:
                     seen.add(successor)
                     queue.append((successor, word + (letter,)))
-    return hole, len(seen), len(queue[-1][1]) + 1 if queue else 0
+    found = graph.holes[initial] = hole, len(seen), len(queue[-1][1]) + 1 if queue else 0
+    return found
 
 
-def _shortest_words(graph: PairGraph, dist: np.ndarray, exit_dist: int) -> list:
-    """Per pair, the lexicographically least word that lowers dist to 0
-    one step per letter (leaving the graph counts as reaching exit_dist);
-    None for unreached pairs.  A pair's word is its least input lowering
-    dist by one, then the word of the pair that input leads to."""
+def _least_steps(graph: PairGraph, dist: np.ndarray, exit_dist: int) -> tuple:
+    """Per pair, the least input lowering dist by one (leaving the graph
+    counts as reaching exit_dist) and the id it leads to, -1 off the graph:
+    the first letter of the least word taking dist to 0, one step a letter."""
     after = np.where(graph.succ >= 0, dist[graph.succ], exit_dist)
     letter = np.argmax(after == dist - 1, axis=0) + 1
-    target = graph.succ[letter - 1, np.arange(graph.n_pairs)]
-    reached = np.flatnonzero(dist < UNREACHED)
-    order = reached[np.argsort(dist[reached], kind="stable")]
-    words: list[Optional[Word]] = [None] * graph.n_pairs
-    steps = zip(order.tolist(), dist[order].tolist(), letter[order].tolist(), target[order].tolist())
-    for p, d, u, q in steps:
-        words[p] = () if d == 0 else (u,) + (words[q] if q >= 0 else ())
-    return words
+    return letter, graph.succ[letter - 1, np.arange(graph.n_pairs)]
 
 
-def shortest_exit_words(graph: PairGraph) -> list[Optional[Word]]:
-    """Per pair id, the lexicographically least shortest word that drives
-    the pair out of the graph; None when no word does."""
-    return _shortest_words(graph, graph.exit_distances, 0)
+class ExitWords(Mapping[Pair, Word]):
+    """Read-only map from each confusable pair (lo, hi) of a graph in which
+    every one leaves, to the least shortest word driving it out, keys in id
+    order.  Kept as the distinct words (words[0] is empty) and each key's
+    index into them: by ascending distance, a word is a _least_steps letter
+    plus the word of the pair it leads to, and each is spelled once."""
+
+    def __init__(self, graph: PairGraph):
+        dist, base = graph.exit_distances, graph.n_inputs + 1
+        letter, target = _least_steps(graph, dist, 0)
+        self._graph, self._ids = graph, graph.nondiagonal
+        order = self._ids[np.argsort(dist[self._ids])]
+        word = np.zeros(graph.n_pairs + 1, dtype=np.int64)  # word[-1]: off the graph
+        self.words: list[Word] = [()]
+        below = 0  # the first word one level nearer the exit
+        for level in np.split(order, np.flatnonzero(np.diff(dist[order])) + 1):
+            keys = (word[target[level]] - below) * base + letter[level]
+            seen, first = np.bincount(keys) > 0, len(self.words)
+            word[level] = first - 1 + seen.cumsum()[keys]
+            for k in np.flatnonzero(seen).tolist():
+                self.words.append((k % base,) + self.words[below + k // base])
+            below = first
+        self._word = word[self._ids]
+
+    def spell(self, form: Callable[[Word], object]) -> list:
+        """Per key, form(its word), formed once per distinct word and shared."""
+        return list(map([form(w) for w in self.words].__getitem__, self._word.tolist()))
+
+    @cached_property
+    def labels(self) -> list[str]:
+        """Per key, 'lo,hi'."""
+        names = np.array(list(map(str, range(self._graph.n_states + 1))), dtype=object)
+        return (names[self._graph.lo[self._ids]] + "," + names[self._graph.hi[self._ids]]).tolist()
+
+    @cached_property
+    def _index(self) -> dict[Pair, int]:
+        return dict(zip(self, self._word.tolist()))
+
+    def __getitem__(self, pair: Pair) -> Word:
+        return self.words[self._index[pair]]
+
+    def __iter__(self) -> Iterator[Pair]:
+        return zip(self._graph.lo[self._ids].tolist(), self._graph.hi[self._ids].tolist())
+
+    def __len__(self) -> int:
+        return len(self._ids)
 
 
-def _on_cycle(graph: PairGraph, roots: list[int]) -> list[int]:
-    """The pairs reachable from the roots that lie on a cycle: in a strongly
-    connected component of two or more pairs, or stepping to themselves.
-    Iterative Tarjan; a finished pair's index is raised past every visit
-    number, so it no longer lowers anyone's low link."""
-    adjacency = graph.succ.T.tolist()
-    done = graph.n_pairs + 1
-    index = [0] * graph.n_pairs  # visit number from 1; 0 = not visited
-    low = [0] * graph.n_pairs
+def _on_cycle(adjacency: list[list[int]], roots: list[int]) -> list[int]:
+    """The vertices reachable from the roots that lie on a cycle: in a
+    strongly connected component of two or more, or stepping to themselves.
+    adjacency[v] lists v's successors, -1 for none.  Iterative Tarjan; a
+    finished vertex's index is raised past every visit number, so it no
+    longer lowers anyone's low link."""
+    size = len(adjacency)
+    done = size + 1
+    index = [0] * size  # visit number from 1; 0 = not visited
+    low = [0] * size
     stack: list[int] = []
     cyclic: list[int] = []
     visits = 0
@@ -174,18 +214,52 @@ class Lasso(NamedTuple):
     cycle: Word
 
 
+def _endless(graph: PairGraph) -> np.ndarray:
+    """Per pair, whether it has an infinite walk in the graph.  Peels, level
+    by level, every pair whose successors are all peeled or off the graph;
+    each pair left has a successor left, so it walks forever."""
+    left = np.count_nonzero(graph.succ >= 0, axis=0)
+    frontier = np.flatnonzero(left == 0)
+    slot = np.empty(graph.n_pairs, dtype=np.int64)
+    while frontier.size:
+        found = graph.predecessors(frontier)
+        np.subtract.at(left, found, 1)
+        found = found[left[found] == 0]
+        rank = np.arange(found.size)
+        slot[found] = rank  # keep each pair once, as distances does
+        frontier = found[slot[found] == rank]
+    return left > 0
+
+
 def find_lasso(graph: PairGraph, sources: list[int]) -> Optional[Lasso]:
     """Lasso from the least of the ascending source ids that reaches the
     least on-cycle pair reachable from any of them; None when no cycle is
-    reachable.  prefix and cycle are lexicographically least shortest."""
-    on_cycle = _on_cycle(graph, sources)
-    if not on_cycle:
+    reachable.  prefix and cycle are lexicographically least shortest.
+    Tarjan runs only on the pairs with an infinite walk (_endless), which
+    hold every walk from a source to a cycle; only the two words are spelled.
+    """
+    endless = _endless(graph)
+    sources = np.asarray(sources, dtype=np.int64)
+    roots = sources[endless[sources]]
+    if not roots.size:
         return None
-    anchor = min(on_cycle)
+    kept = np.flatnonzero(endless)
+    renumber = np.full(graph.n_pairs + 1, -1)  # renumber[-1] stays -1
+    renumber[kept] = np.arange(kept.size)
+    adjacency = renumber[graph.succ[:, kept]].T.tolist()
+    anchor = int(kept[min(_on_cycle(adjacency, renumber[roots].tolist()))])
     dist = graph.distances(np.array([anchor]), 0)
-    words = _shortest_words(graph, dist, UNREACHED)
-    source = next(p for p in sources if words[p] is not None)
+    letter, target = _least_steps(graph, dist, UNREACHED)
+
+    def walk(p: int) -> Word:
+        word = []
+        while dist[p]:
+            word.append(int(letter[p]))
+            p = target[p]
+        return tuple(word)
+
+    source = int(sources[dist[sources] < UNREACHED][0])
     exits = graph.succ[:, anchor]
     first = int(np.argmin(np.where(exits >= 0, dist[exits], UNREACHED)))
-    cycle = (first + 1,) + words[exits[first]]
-    return Lasso(graph.pairs[source], words[source], cycle)
+    pair = (int(graph.lo[source]), int(graph.hi[source]))
+    return Lasso(pair, walk(source), (first + 1,) + walk(exits[first]))

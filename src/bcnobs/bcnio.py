@@ -258,21 +258,14 @@ def _verdict_json(verdict: Verdict) -> dict:
         body["any_word_states"] = sorted(verdict.any_word_states)
         body["offending_state"] = verdict.offending_state
     elif kind is ObservabilityType.TYPE_II:
-        body["witnesses"] = (
-            {f"{a},{b}": list(word) for (a, b), word in sorted(verdict.distinguishing.items())}
-            if verdict.observable
-            else None
-        )
-        body["offending_pair"] = (
-            list(verdict.offending_pair) if verdict.offending_pair else None
-        )
+        view = verdict.distinguishing  # pairs with one word share its list
+        body["witnesses"] = dict(zip(view.labels, view.spell(list))) if verdict.observable else None
+        body["offending_pair"] = list(verdict.offending_pair) if verdict.offending_pair else None
     elif kind is ObservabilityType.TYPE_III:
         word = verdict.universal_word
         body["witness"] = None if word is None else list(word)
     else:
-        body["offending_pair"] = (
-            list(verdict.offending_pair) if verdict.offending_pair else None
-        )
+        body["offending_pair"] = list(verdict.offending_pair) if verdict.offending_pair else None
         body["lasso"] = (
             {"prefix": list(verdict.lasso.prefix), "cycle": list(verdict.lasso.cycle)}
             if verdict.lasso
@@ -335,21 +328,25 @@ def report_text(report: Mapping) -> str:
 
 def _json_pieces(value, pad: str, out: list[str]) -> list[str]:
     """Append the pieces of json.dumps(value, indent=2), the value starting a line
-    at pad; a list of ints is one piece, and witness maps spell each word once."""
+    at pad; a list of ints is one piece, and a map of such lists spells each
+    word once, looking each list object up once."""
     inner = pad + "  "
     if isinstance(value, (list, tuple)) and set(map(type, value)) == {int}:
         out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]")
     elif isinstance(value, (dict, list, tuple)) and value:
         is_map = isinstance(value, dict)
         items = list(value.values()) if is_map else value
-        keys = map("{}: ".format, map(_quote, value)) if is_map else repeat("")
+        keys, colon = (map(_quote, value), ": ") if is_map else (repeat(""), "")
         seps = chain(["{" + inner if is_map else "[" + inner], repeat("," + inner))
-        if set(map(type, items)) == {list} and set(map(type, chain.from_iterable(items))) <= {int}:
-            words = {w: "".join(_json_pieces(list(w), inner, [])) for w in set(map(tuple, items))}
-            out += chain.from_iterable(zip(seps, keys, map(words.__getitem__, map(tuple, items))))
+        distinct = dict(zip(map(id, items), items)) if set(map(type, items)) == {list} else {}
+        if distinct and set(map(type, chain.from_iterable(distinct.values()))) <= {int}:
+            spelled = set(map(tuple, distinct.values()))
+            texts = {w: "".join(_json_pieces(list(w), inner, [colon])) for w in spelled}
+            words = {i: texts[tuple(w)] for i, w in distinct.items()}
+            out += chain.from_iterable(zip(seps, keys, map(words.__getitem__, map(id, items))))
         else:
             for sep, key, item in zip(seps, keys, items):
-                out += (sep, key)
+                out += (sep, key, colon)
                 _json_pieces(item, inner, out)
         out.append(pad + ("}" if is_map else "]"))
     else:  # a string, number, true, false, null, {} or []

@@ -159,9 +159,8 @@ def _verdict_lines(verdict: Verdict, show_witness: bool) -> list[str]:
             lines += [f"  state {x}: {words[w]}" for x, w in sorted(verdict.determining.items())]
             lines += [f"  state {x}: any single input" for x in sorted(verdict.any_word_states)]
         elif verdict.kind is ObservabilityType.TYPE_II:
-            words = {w: _word_text(w) for w in set(verdict.distinguishing.values())}
-            pairs = sorted(verdict.distinguishing.items())
-            lines += [f"  pair ({a},{b}): {words[w]}" for (a, b), w in pairs]
+            words = verdict.distinguishing
+            lines += [f"  pair ({a}): {w}" for a, w in zip(words.labels, words.spell(_word_text))]
         elif verdict.kind is ObservabilityType.TYPE_III:
             lines.append(f"  witness word {_word_text(verdict.universal_word)}")
     return lines

@@ -25,15 +25,15 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .automata import (
     Dfa,
+    ExitWords,
     Lasso,
     Word,
     find_lasso,
     least_hole,
-    shortest_exit_words,
     subset_automaton_ids,
 )
 from .bcn import Bcn
-from .pairgraph import Pair, PairGraph, build
+from .pairgraph import UNREACHED, Pair, PairGraph, build
 
 
 class ObservabilityType(enum.Enum):
@@ -62,7 +62,9 @@ class Verdict:
                 Not observable: offending_state, the least state whose
                 subset machine is complete.
       TYPE_II   observable: distinguishing maps each confusable pair to a
-                shortest word telling it apart.  Not observable:
+                shortest word telling it apart, a read-only view
+                (automata.ExitWords) that iterates in (lo, hi) order and
+                spells words only when read.  Not observable:
                 offending_pair, the least pair no word tells apart.
       TYPE_III  observable: universal_word settles every state at once.
       TYPE_IV   not observable: lasso is an input walk along which the
@@ -96,7 +98,7 @@ class Verdict:
         if self.kind is ObservabilityType.TYPE_I:
             return sorted(self.determining.items())
         if self.kind is ObservabilityType.TYPE_II:
-            return sorted(self.distinguishing.items())
+            return list(self.distinguishing.items())
         return [self.universal_word]
 
 
@@ -146,24 +148,20 @@ def decide_type_i(network: Bcn, graph: PairGraph) -> Verdict:
 def decide_type_ii(network: Bcn, graph: PairGraph) -> Verdict:
     """One search over the whole pair graph: a confusable pair is told
     apart exactly when some word drives it out of the graph."""
-    nondiag = graph.nondiagonal.tolist()
-    if not nondiag:
-        return Verdict(kind=ObservabilityType.TYPE_II, observable=True)
-    words = shortest_exit_words(graph)
-    stuck = next((p for p in nondiag if words[p] is None), None)
-    stats = (AutomatonStat("pair graph", graph.n_pairs, stuck is not None),)
-    if stuck is not None:
+    nondiag = graph.nondiagonal
+    stuck = nondiag[graph.exit_distances[nondiag] == UNREACHED]
+    stats = (AutomatonStat("pair graph", graph.n_pairs, stuck.size > 0),) if nondiag.size else ()
+    if stuck.size:
         return Verdict(
             kind=ObservabilityType.TYPE_II,
             observable=False,
-            offending_pair=graph.pairs[stuck],
+            offending_pair=(int(graph.lo[stuck[0]]), int(graph.hi[stuck[0]])),
             automaton_stats=stats,
         )
-    pairs = graph.pairs
     return Verdict(
         kind=ObservabilityType.TYPE_II,
         observable=True,
-        distinguishing={pairs[p]: words[p] for p in nondiag},
+        distinguishing=ExitWords(graph),
         automaton_stats=stats,
     )
 
@@ -281,7 +279,8 @@ def exact_oracle_horizon(network: Bcn, kind: ObservabilityType, graph: PairGraph
     the output classes by successors settles within N - k rounds), never
     more than the confusable-pair count.  Type IV: the confusable-pair
     count.  Types I and III: the largest hole bound least_hole gives over
-    _labeled_seeds, every type I state included; no machine is built.
+    _labeled_seeds, every type I state included; no machine is built, and
+    a seed a decider has searched on this graph is not searched again.
     At least 1.
     """
     if kind is ObservabilityType.TYPE_II:

@@ -13,7 +13,7 @@ tuple, pairs[p].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -33,13 +33,15 @@ class PairGraph:
     Pair p is (lo[p], hi[p]), states 1-based with lo <= hi, and the pairs
     ascend by (lo, hi).  succ[u - 1, p] is the id of p's unique successor
     under input u, or -1 when that step leaves the graph.  Diagonal pairs
-    never leave it.
+    never leave it.  holes keeps automata.least_hole's results on this
+    graph, by seed.
     """
 
     n_states: int
     lo: np.ndarray
     hi: np.ndarray
     succ: np.ndarray
+    holes: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_inputs(self) -> int:
@@ -65,21 +67,25 @@ class PairGraph:
         np.cumsum(np.bincount(targets[kept], minlength=self.n_pairs), out=offsets[1:])
         return offsets, order % self.n_pairs
 
+    def predecessors(self, targets: np.ndarray) -> np.ndarray:
+        """The ids stepping into any of the targets, once per edge doing so."""
+        offsets, sources = self.reverse
+        begin = offsets[targets]
+        count = offsets[targets + 1] - begin
+        spans = (begin - (count.cumsum() - count)).repeat(count)
+        return sources[spans + np.arange(spans.size)]
+
     def distances(self, goals: np.ndarray, first: int) -> np.ndarray:
         """Per pair, first plus the length of a shortest walk into the goals;
         UNREACHED when there is none.  Breadth-first over reversed edges, one
         level at a time."""
-        offsets, sources = self.reverse
         dist = np.full(self.n_pairs, UNREACHED, dtype=np.int64)
         dist[goals] = first
         slot = np.empty(self.n_pairs, dtype=np.int64)
         frontier, level = goals, first
         while frontier.size:
             level += 1
-            begin = offsets[frontier]
-            count = offsets[frontier + 1] - begin
-            spans = np.repeat(begin - (np.cumsum(count) - count), count)
-            found = sources[spans + np.arange(spans.size)]
+            found = self.predecessors(frontier)
             found = found[dist[found] == UNREACHED]
             # keep each pair once: of its copies, only the one whose position
             # the scatter left in its slot survives

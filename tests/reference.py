@@ -8,6 +8,10 @@
   shortest-return search from each reachable vertex in turn.  They are
   slow but direct, and tests compare the library's integer-indexed graph
   and linear-time searches against them.
+- The id-array searches the library's types II and IV replaced: one word
+  tuple per pair (shortest_words, exit_words) and Tarjan over the whole
+  pair graph (on_cycle, find_lasso), before the lasso search peeled the
+  pairs with no infinite walk.
 - The dense semi-tensor product and its index-arithmetic form on logical
   matrices, the independent check that the algebraic form is right, with
   the identity and delta constructors, the dense round trip and the
@@ -40,7 +44,7 @@ from bcnobs.bcn import Bcn, output, step
 from bcnobs.bcnio import BcnDocument, _label
 from bcnobs.observability import AutomatonStat, ObservabilityType, Verdict, type_automata
 from bcnobs.oracle import _enumeration_cost
-from bcnobs.pairgraph import PairGraph
+from bcnobs.pairgraph import UNREACHED, PairGraph
 from bcnobs.stp import LogicalMatrix
 
 from pairviews import PairVertex
@@ -303,6 +307,89 @@ def decide_type_iv(graph) -> Verdict:
                 lasso=Lasso(source, prefix, cycle),
             )
     raise AssertionError("cycle anchor was reachable but no source reaches it")
+
+
+def shortest_words(graph: PairGraph, dist: np.ndarray, exit_dist: int) -> list[Optional[Word]]:
+    """Per pair, the lexicographically least word that lowers dist to 0
+    one step per letter (leaving the graph counts as reaching exit_dist);
+    None for unreached pairs.  A pair's word is its least input lowering
+    dist by one, then the word of the pair that input leads to."""
+    after = np.where(graph.succ >= 0, dist[graph.succ], exit_dist)
+    letter = np.argmax(after == dist - 1, axis=0) + 1
+    target = graph.succ[letter - 1, np.arange(graph.n_pairs)]
+    reached = np.flatnonzero(dist < UNREACHED)
+    order = reached[np.argsort(dist[reached], kind="stable")]
+    words: list[Optional[Word]] = [None] * graph.n_pairs
+    steps = zip(order.tolist(), dist[order].tolist(), letter[order].tolist(), target[order].tolist())
+    for p, d, u, q in steps:
+        words[p] = () if d == 0 else (u,) + (words[q] if q >= 0 else ())
+    return words
+
+
+def exit_words(graph: PairGraph) -> dict:
+    """The type II witnesses as one tuple per confusable pair, keyed by
+    (lo, hi): the map the library's ExitWords view replaced."""
+    words = shortest_words(graph, graph.exit_distances, 0)
+    return {graph.pairs[p]: words[p] for p in graph.nondiagonal.tolist()}
+
+
+def on_cycle(graph: PairGraph, roots: list[int]) -> list[int]:
+    """The pairs reachable from the roots that lie on a cycle, by iterative
+    Tarjan over the whole pair graph."""
+    adjacency = graph.succ.T.tolist()
+    done = graph.n_pairs + 1
+    index = [0] * graph.n_pairs  # visit number from 1; 0 = not visited
+    low = [0] * graph.n_pairs
+    stack: list[int] = []
+    cyclic: list[int] = []
+    visits = 0
+    for root in roots:
+        calls = [] if index[root] else [(root, iter(adjacency[root]))]
+        while calls:
+            v, pending = calls[-1]
+            if not index[v]:
+                visits += 1
+                index[v] = low[v] = visits
+                stack.append(v)
+            for w in pending:
+                if w >= 0 and not index[w]:
+                    calls.append((w, iter(adjacency[w])))
+                    break
+                if w == v:
+                    cyclic.append(v)
+                elif w >= 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                calls.pop()
+                if calls and low[v] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    start = len(stack) - 1
+                    while stack[start] != v:
+                        start -= 1
+                    if start < len(stack) - 1:
+                        cyclic.extend(stack[start:])
+                    for w in stack[start:]:
+                        index[w] = done
+                    del stack[start:]
+    return cyclic
+
+
+def find_lasso(graph: PairGraph, sources: list[int]) -> Optional[Lasso]:
+    """The lasso search the library's peeled one replaced: Tarjan over the
+    whole graph from every source, then a word for every pair reaching the
+    anchor."""
+    cyclic = on_cycle(graph, sources)
+    if not cyclic:
+        return None
+    anchor = min(cyclic)
+    dist = graph.distances(np.array([anchor]), 0)
+    words = shortest_words(graph, dist, UNREACHED)
+    source = next(p for p in sources if words[p] is not None)
+    exits = graph.succ[:, anchor]
+    first = int(np.argmin(np.where(exits >= 0, dist[exits], UNREACHED)))
+    cycle = (first + 1,) + words[exits[first]]
+    return Lasso(graph.pairs[source], words[source], cycle)
 
 
 def identity(n: int) -> LogicalMatrix:

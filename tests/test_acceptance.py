@@ -24,6 +24,7 @@ from conftest import golden_text
 from dotcheck import dot_structure
 from pairviews import PairVertex, automaton_dot, edges, non_diagonal_vertices, subset_automaton, vertex_automaton
 from reference import accepts, shortest_undefined_word
+from test_reference import _random_network, _shift_register
 
 T_I = ObservabilityType.TYPE_I
 T_II = ObservabilityType.TYPE_II
@@ -255,3 +256,17 @@ def test_criterion_8_language_semantics(criterion, bcn5, bcn6, bcn7):
                 for word in words:
                     survived = not distinguishes(network, vertex.lo, vertex.hi, word)
                     assert accepts(dfa, word) == survived
+
+
+def test_criterion_9_types_ii_and_iv_at_16384_states(criterion):
+    networks = [_shift_register(0, 14, 9), _random_network(0, 14, 1, 9)]
+    with criterion(9, "pair graph, types II and IV at 16,384 states", budget_ms=10000):
+        verdicts = []
+        for network in networks:
+            graph = build(network)
+            verdicts.append((DECIDERS[T_II](network, graph), DECIDERS[T_IV](network, graph)))
+    (shift_ii, shift_iv), (random_ii, random_iv) = verdicts
+    assert shift_ii.observable and shift_iv.observable  # by construction
+    assert random_ii.observable and len(random_ii.distinguishing) > 100_000
+    assert not random_iv.observable
+    assert verify_witness(networks[1], T_IV, random_iv.witness_payloads()[0])

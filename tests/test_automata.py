@@ -229,6 +229,19 @@ class TestFindLasso:
         # 11 sits on a self-loop, so it is a cycle all by itself
         assert lasso_from(graph5, [v(1, 1)]) == Lasso(v(1, 1), (), (1,))
 
+    def test_least_survivor_between_two_cycles(self):
+        # one output class over states 1-6: 34 self-loops under input 1 and
+        # steps to 12 under input 2; 12 steps to 56, a self-loop.  So 12, the
+        # least confusable pair with an infinite walk, is on no cycle, and
+        # the lasso still anchors on the least on-cycle pair, 34.
+        columns = (5, 6, 4, 3, 6, 5, 8, 7, 5, 6, 1, 2, 5, 6, 8, 7)
+        graph = build(bcn_from_columns(3, 1, 1, columns, (1, 1, 1, 1, 1, 1, 2, 2), "input-first"))
+        assert graph.successor[v(3, 4)] == {1: v(3, 4), 2: v(1, 2)}
+        assert graph.successor[v(1, 2)] == {1: v(5, 6), 2: v(5, 6)}
+        lasso = lasso_from(graph, non_diagonal_vertices(graph))
+        assert lasso == Lasso(v(3, 4), (), (1,)) == reference.find_lasso(graph, graph.nondiagonal.tolist())
+        _lasso_is_valid(graph, lasso)
+
     def test_cycle_free_region(self):
         # confusable pairs whose successors immediately leave the graph
         network = bcn_from_columns(

@@ -171,6 +171,16 @@ class TestExactHorizon:
         network = gen_random_bcn(1, 6, 1, 2)
         assert exact_oracle_horizon(network, T_III, build(network)) == 1
 
+    def test_type_i_horizon_reads_the_deciders_searches(self, bcn7):
+        graph = build(bcn7)
+        verdict = decide_type_i(bcn7, graph)
+        assert verdict.observable  # so every seed was searched
+        searched = dict(graph.holes)
+        assert len(verdict.automaton_stats) == 4
+        assert len(searched) == 2  # states 1 and 2 share their one pair, as do 3 and 4
+        assert exact_oracle_horizon(bcn7, T_I, graph) == 1
+        assert graph.holes == searched  # no seed searched anew
+
     def test_trivial_network_floor(self):
         network = bcn_from_columns(1, 1, 1, (2, 1, 1, 2), (1, 2), "input-first")
         graph = build(network)

@@ -178,19 +178,44 @@ def _shift_register(seed, n, q):
     return bcn_from_columns(n, 1, q, columns, [(v >> (n - q)) + 1 for v in values], "input-first")
 
 
-def test_build_by_index_matches_binary_search():
-    """Successor ids by index arithmetic against the binary search they
-    replaced, up to 4,096 states."""
+def _ladder():
+    """Seeded random networks and shift registers, up to 4,096 states."""
     cases = [(f"random seed {s} {shape}", _random_network(s, *shape))
              for s in range(3) for shape in ((1, 1, 1), (3, 2, 2), (6, 1, 3), (10, 2, 4), (11, 1, 5))]
     cases.append(("random seed 0 (12,1,7)", _random_network(0, 12, 1, 7)))
     cases += [(f"shift seed {s} ({n},1,{q})", _shift_register(s, n, q))
               for s in range(2) for n, q in ((4, 2), (8, 3), (12, 7))]
-    for label, network in cases:
+    return cases
+
+
+def test_build_by_index_matches_binary_search():
+    """Successor ids by index arithmetic against the binary search they
+    replaced, up to 4,096 states."""
+    for label, network in _ladder():
         graph, old = build(network), reference.search_build(network)
         for name in ("lo", "hi", "succ"):
             assert (getattr(graph, name) == getattr(old, name)).all(), (label, name)
     assert network.n_states == 4096 and (graph.succ >= 0).any() and (graph.succ < 0).any()
+
+
+def test_peeled_searches_match_full_graph():
+    """Type IV peeled before Tarjan against Tarjan over the whole graph, and
+    the type II view against one word tuple per pair, up to 4,096 states."""
+    outcomes = set()
+    for label, network in _ladder():
+        graph = build(network)
+        old = reference.find_lasso(graph, graph.nondiagonal.tolist())
+        new = decide_type_iv(network, graph)
+        assert new.observable == (old is None), label
+        assert new.offending_pair == (old.source if old else None), label
+        assert new.lasso == old, label
+        ii = decide_type_ii(network, graph)
+        if ii.observable:
+            assert dict(ii.distinguishing) == reference.exit_words(graph), label
+            assert list(ii.distinguishing) == sorted(ii.distinguishing), label
+        outcomes.add((network.n_states, ii.observable, new.observable))
+    # both outcomes of both deciders, and a lasso and words at 4,096 states
+    assert {(4096, True, True), (4096, True, False), (2, False, False)} <= outcomes
 
 
 def test_horizon_from_pruned_search_against_full_machines():
