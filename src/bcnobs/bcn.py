@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
-from .stp import LogicalMatrix, reorder_columns
+from .stp import COLUMN_ORDERS, LogicalMatrix
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -66,11 +67,16 @@ def bcn_from_columns(
     """Build a network over n state, m input, q output variables.
 
     transition_columns lists the 1-based successor indices in the named
-    column ordering; they are stored input-first internally.
+    column ordering.  They are stored input-first: a state-first list is
+    transposed by taking every 2^m-th entry for each input in turn.
     """
+    if ordering not in COLUMN_ORDERS:
+        raise ValueError(f"unknown column ordering {ordering!r}, expected one of {COLUMN_ORDERS}")
     n_states, n_inputs, n_outputs = 2 ** n, 2 ** m, 2 ** q
-    transition = LogicalMatrix(n_states, tuple(transition_columns))
-    transition = reorder_columns(transition, n_states, n_inputs, ordering, "input-first")
+    columns = tuple(transition_columns)
+    if ordering == "state-first":
+        columns = tuple(chain.from_iterable(columns[u::n_inputs] for u in range(n_inputs)))
+    transition = LogicalMatrix(n_states, columns)
     output_map = LogicalMatrix(n_outputs, tuple(output_columns))
     return Bcn(n_states, n_inputs, n_outputs, transition, output_map)
 

@@ -17,7 +17,7 @@ from .bcn import Bcn, bcn_from_columns
 from .observability import ObservabilityType, Verdict
 from .oracle import OracleVerdict
 from .pairgraph import Pair, PairGraph
-from .stp import COLUMN_ORDERS, LogicalMatrix, from_truth_table
+from .stp import COLUMN_ORDERS, LogicalMatrix
 
 
 class DocumentError(ValueError):
@@ -25,6 +25,11 @@ class DocumentError(ValueError):
 
 
 _TOP_LEVEL_FIELDS = {"name", "n", "m", "q", "ordering", "L", "H", "update", "output"}
+
+# The most state, input or output variables a document may declare.  Any
+# document that can list its 2^n columns stays far below it; the cap rejects
+# a huge n before 2^n is formed, too large to print or even to hold.
+MAX_DOCUMENT_VARS = 32
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,10 @@ class BcnDocument:
     or the truth-table body (update_table, output_table) is present, never
     both.  Table keys are 0/1 strings, '1' meaning true; update keys list
     the m input bits then the n state bits, update values the n successor
-    bits; output keys list the n state bits, values the q output bits.
+    bits; output keys list the n state bits, values the q output bits.  A
+    key's column is its bits read in binary with 0 and 1 swapped, plus 1, so
+    the all-true key is column 1 and the update lands input-first; a value
+    maps to its delta index by the same rule.
     """
 
     n: int
@@ -51,8 +59,10 @@ class BcnDocument:
 
 def _require_positive_int(raw: dict, field: str) -> int:
     value = raw.get(field)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise DocumentError(f"field {field!r} must be a positive integer")
+    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= MAX_DOCUMENT_VARS:
+        raise DocumentError(
+            f"field {field!r} must be a positive integer, at most {MAX_DOCUMENT_VARS}"
+        )
     return value
 
 
@@ -91,7 +101,7 @@ def parse_document(text: str) -> BcnDocument:
     """Parse and validate the JSON document format."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise DocumentError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise DocumentError("JSON nested too deeply to parse") from None
@@ -145,34 +155,26 @@ def parse_document(text: str) -> BcnDocument:
     raise DocumentError("missing network body: need L/H or update/output")
 
 
-def _bits_to_bools(text: str) -> tuple[bool, ...]:
-    return tuple(ch == "1" for ch in text)
+def _table_columns(table: Mapping[str, str], key_width: int, value_width: int) -> tuple[int, ...]:
+    """Delta columns of a validated bit table: flipping every bit of a key
+    or value gives its 0-based delta index, '1' (true) counting as 0."""
+    key_mask, value_mask = 2 ** key_width - 1, 2 ** value_width - 1
+    columns = [0] * len(table)
+    for key, value in table.items():
+        columns[key_mask ^ int(key, 2)] = (value_mask ^ int(value, 2)) + 1
+    return tuple(columns)
 
 
 def document_to_bcn(document: BcnDocument) -> Bcn:
     """Compile a document into the internal algebraic form."""
+    n, m, q = document.n, document.m, document.q
     if document.transition_columns is not None:
         return bcn_from_columns(
-            document.n,
-            document.m,
-            document.q,
-            document.transition_columns,
-            document.output_columns,
-            document.ordering,
+            n, m, q, document.transition_columns, document.output_columns, document.ordering
         )
-    # Compiling with the input bits ahead of the state bits lands the
-    # transition columns input-first directly.
-    update = {
-        _bits_to_bools(key): _bits_to_bools(value)
-        for key, value in document.update_table.items()
-    }
-    out_table = {
-        _bits_to_bools(key): _bits_to_bools(value)
-        for key, value in document.output_table.items()
-    }
-    transition = from_truth_table(document.m + document.n, document.n, update)
-    output_map = from_truth_table(document.n, document.q, out_table)
-    return Bcn(2 ** document.n, 2 ** document.m, 2 ** document.q, transition, output_map)
+    transition = LogicalMatrix(2 ** n, _table_columns(document.update_table, m + n, n))
+    output_map = LogicalMatrix(2 ** q, _table_columns(document.output_table, n, q))
+    return Bcn(2 ** n, 2 ** m, 2 ** q, transition, output_map)
 
 
 def parse_bcn(text: str) -> Bcn:

@@ -23,6 +23,11 @@
   horizon to a budget, and the old conclusive horizon taken from the full
   subset machines.
 - The canonical document writer, which only the round-trip tests use.
+- The general compile the library replaced with direct column arithmetic:
+  the truth-table compiler over Boolean tuples (from_truth_table,
+  bool_tuple_index), the column reorder in both directions
+  (reorder_columns), and the document compile written in them
+  (compile_document).  The tests check document_to_bcn against it.
 - The output path the CLI replaced: the DOT renderers that group edges in
   a dict and sort the (source label, target label) strings, and the
   verdict lines spelled one line and one word at a time.  The tests
@@ -35,7 +40,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +50,7 @@ from bcnobs.bcnio import BcnDocument, _label
 from bcnobs.observability import AutomatonStat, ObservabilityType, Verdict, type_automata
 from bcnobs.oracle import _enumeration_cost
 from bcnobs.pairgraph import UNREACHED, PairGraph
-from bcnobs.stp import LogicalMatrix
+from bcnobs.stp import COLUMN_ORDERS, LogicalMatrix
 
 from pairviews import PairVertex
 
@@ -420,7 +425,7 @@ def from_dense(array) -> LogicalMatrix:
 
 
 def index_to_bool_tuple(index: int, width: int) -> tuple[bool, ...]:
-    """Inverse of stp.bool_tuple_index for a fixed tuple width."""
+    """Inverse of bool_tuple_index for a fixed tuple width."""
     if not 1 <= index <= 2 ** width:
         raise ValueError(f"index {index} outside 1..{2 ** width}")
     rem = index - 1
@@ -556,6 +561,114 @@ def serialize_document(document: BcnDocument) -> str:
         body["update"] = {k: document.update_table[k] for k in sorted(document.update_table)}
         body["output"] = {k: document.output_table[k] for k in sorted(document.output_table)}
     return json.dumps(body, indent=2) + "\n"
+
+
+def bool_tuple_index(values: Iterable[bool]) -> int:
+    """1-based delta index of a Boolean tuple, first variable most significant."""
+    idx = 1
+    for v in values:
+        idx = 2 * idx - 1 if v else 2 * idx
+    return idx
+
+
+def from_truth_table(
+    n_inputs: int,
+    n_outputs: int,
+    table: Mapping[Sequence[bool], Sequence[bool]],
+) -> LogicalMatrix:
+    """Compile a total Boolean map into its structure matrix F.
+
+    F satisfies F stp enc(v_1) stp ... stp enc(v_k) = enc(f(v_1, ..., v_k))
+    under the delta encoding.  The table must assign every valuation exactly
+    once; keys and values are tuples of Booleans (0/1 accepted).
+    """
+    if n_inputs < 0 or n_outputs < 1:
+        raise ValueError("need n_inputs >= 0 and n_outputs >= 1")
+    cols = [0] * (2 ** n_inputs)
+    for key, value in table.items():
+        if len(key) != n_inputs:
+            raise ValueError(f"valuation {key!r} does not have {n_inputs} entries")
+        if len(value) != n_outputs:
+            raise ValueError(f"result {value!r} does not have {n_outputs} entries")
+        for v in (*key, *value):
+            if v not in (0, 1):
+                raise ValueError(f"non-Boolean entry {v!r} in truth table")
+        j = bool_tuple_index(bool(v) for v in key)
+        if cols[j - 1] != 0:
+            raise ValueError(f"valuation {tuple(key)!r} assigned twice")
+        cols[j - 1] = bool_tuple_index(bool(v) for v in value)
+    missing = [k + 1 for k, c in enumerate(cols) if c == 0]
+    if missing:
+        raise ValueError(
+            f"truth table is not total: {len(missing)} of {len(cols)} valuations missing"
+        )
+    return LogicalMatrix(2 ** n_outputs, tuple(cols))
+
+
+def reorder_columns(
+    matrix: LogicalMatrix,
+    n_states: int,
+    n_inputs: int,
+    from_order: str,
+    to_order: str,
+) -> LogicalMatrix:
+    """Re-index transition-matrix columns between the two (state, input) layouts.
+
+    state-first puts the column for state i under input j at position
+    (i-1)*n_inputs + j; input-first puts it at (j-1)*n_states + i.  The two
+    conventions carry the same data and mixing them up silently corrupts a
+    network, so callers must always name both layouts.
+    """
+    for order in (from_order, to_order):
+        if order not in COLUMN_ORDERS:
+            raise ValueError(f"unknown column ordering {order!r}, expected one of {COLUMN_ORDERS}")
+    if matrix.cols != n_states * n_inputs:
+        raise ValueError(
+            f"matrix has {matrix.cols} columns, expected {n_states} * {n_inputs}"
+        )
+    if from_order == to_order:
+        return matrix
+    idx = [0] * matrix.cols
+    for i in range(1, n_states + 1):
+        for j in range(1, n_inputs + 1):
+            state_first = (i - 1) * n_inputs + j
+            input_first = (j - 1) * n_states + i
+            src, dst = (
+                (state_first, input_first)
+                if from_order == "state-first"
+                else (input_first, state_first)
+            )
+            idx[dst - 1] = matrix.col_index[src - 1]
+    return LogicalMatrix(matrix.rows, tuple(idx))
+
+
+def _bits_to_bools(text: str) -> tuple[bool, ...]:
+    return tuple(ch == "1" for ch in text)
+
+
+def compile_document(document: BcnDocument) -> Bcn:
+    """document_to_bcn through the general converters: the matrix body
+    reordered to input-first, the tables compiled over Boolean tuples with
+    the input bits ahead of the state bits."""
+    n_states, n_inputs, n_outputs = 2 ** document.n, 2 ** document.m, 2 ** document.q
+    if document.transition_columns is not None:
+        transition = reorder_columns(
+            LogicalMatrix(n_states, document.transition_columns),
+            n_states, n_inputs, document.ordering, "input-first",
+        )
+        output_map = LogicalMatrix(n_outputs, document.output_columns)
+        return Bcn(n_states, n_inputs, n_outputs, transition, output_map)
+    update = {
+        _bits_to_bools(key): _bits_to_bools(value)
+        for key, value in document.update_table.items()
+    }
+    out_table = {
+        _bits_to_bools(key): _bits_to_bools(value)
+        for key, value in document.output_table.items()
+    }
+    transition = from_truth_table(document.m + document.n, document.n, update)
+    output_map = from_truth_table(document.n, document.q, out_table)
+    return Bcn(n_states, n_inputs, n_outputs, transition, output_map)
 
 
 def _grouped_edge_lines(rows: list[tuple[str, int, str]]) -> list[str]:

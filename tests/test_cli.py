@@ -321,7 +321,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["decide", "graph"])
     @pytest.mark.parametrize(
-        "content", [b"\xff\xfe{}", b"[" * 200_000], ids=["not-utf8", "nested-too-deep"]
+        "content",
+        [b"\xff\xfe{}", b"[" * 200_000, b'{"n": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "nested-too-deep", "int-too-long"],
     )
     def test_unparsable_bytes_are_bad_input(self, capsys, tmp_path, command, content):
         bad = tmp_path / "bad.json"
@@ -329,6 +331,20 @@ class TestErrors:
         assert run_cli([command, str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["decide", "graph"])
+    @pytest.mark.parametrize("field", ["n", "m", "q"])
+    @pytest.mark.parametrize(
+        "body",
+        [{"ordering": "state-first", "L": [], "H": []}, {"update": {}, "output": {}}],
+        ids=["matrix", "table"],
+    )
+    def test_huge_variable_count_is_bad_input(self, capsys, tmp_path, command, field, body):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 1, "m": 1, "q": 1, field: 20_000, **body}))
+        assert run_cli([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at most 32" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["abc", "-5", "0", "1"])
     def test_bad_budget_env(self, capsys, monkeypatch, value):

@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bcnobs.bcn import output, step
+from bcnobs.bcn import bcn_from_columns, output, step
 from bcnobs.bcnio import (
     BcnDocument,
     DocumentError,
@@ -22,7 +23,7 @@ from bcnobs.pairgraph import build
 from conftest import fixture_path, golden_text
 from dotcheck import dot_structure, validate_dot
 from pairviews import PairVertex, automaton_dot, non_diagonal_vertices
-from reference import index_to_bool_tuple, serialize_document
+from reference import compile_document, index_to_bool_tuple, serialize_document
 
 
 def v(a, b):
@@ -162,6 +163,60 @@ class TestRoundTrip:
         recovered = parse_document(serialize_document(document))
         assert recovered == document
         assert document_to_bcn(recovered) == network
+
+
+def _three_bodies(network, n, m, q):
+    """The network as state-first, input-first and truth-table documents,
+    each read back from its JSON text."""
+    state_first = tuple(
+        step(network, state, control)
+        for state in range(1, network.n_states + 1)
+        for control in range(1, network.n_inputs + 1)
+    )
+    update, out = _tables_from(network, n, m, q)
+    h = network.output_map.col_index
+    documents = [
+        BcnDocument(n=n, m=m, q=q, ordering="state-first",
+                    transition_columns=state_first, output_columns=h),
+        BcnDocument(n=n, m=m, q=q, ordering="input-first",
+                    transition_columns=network.transition.col_index, output_columns=h),
+        BcnDocument(n=n, m=m, q=q, update_table=update, output_table=out),
+    ]
+    return [parse_document(serialize_document(document)) for document in documents]
+
+
+def _assert_compiles_as_reference(network, n, m, q):
+    for document in _three_bodies(network, n, m, q):
+        assert document_to_bcn(document) == compile_document(document) == network
+
+
+class TestCompileAgainstReference:
+    """document_to_bcn against the general converters it replaced."""
+
+    @pytest.mark.parametrize("name", ["bcn5", "bcn6", "bcn7"])
+    def test_fixtures(self, name):
+        document = load_document(fixture_path(name))
+        network = compile_document(document)
+        assert document_to_bcn(document) == network
+        _assert_compiles_as_reference(network, document.n, document.m, document.q)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_random_networks(self, n, m, q):
+        for seed in (100 * n + 10 * m + q, 1000 + 100 * n + 10 * m + q):
+            _assert_compiles_as_reference(gen_random_bcn(seed, n, m, q), n, m, q)
+
+    def test_4096_states(self):
+        rng = random.Random(4096)
+        n_states = 2 ** 12
+        network = bcn_from_columns(
+            12, 1, 3,
+            [rng.randint(1, n_states) for _ in range(2 * n_states)],
+            [rng.randint(1, 8) for _ in range(n_states)],
+            "input-first",
+        )
+        _assert_compiles_as_reference(network, 12, 1, 3)
 
 
 GOLDEN_PAIR_GRAPHS = [("bcn5", "bcn5_pair_graph"), ("bcn6", "bcn6_pair_graph"), ("bcn7", "bcn7_pair_graph")]

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bcnobs.stp import LogicalMatrix, bool_tuple_index, from_truth_table, reorder_columns
+from bcnobs.stp import LogicalMatrix
 
 from reference import (
+    bool_tuple_index,
     delta,
     from_dense,
+    from_truth_table,
     identity,
     index_to_bool_tuple,
     logical_stp,
+    reorder_columns,
     stp,
     swap_matrix,
     to_dense,
