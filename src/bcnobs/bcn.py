@@ -6,54 +6,47 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
-from .stp import COLUMN_ORDERS, LogicalMatrix
+COLUMN_ORDERS = ("state-first", "input-first")
 
 
-def _is_power_of_two(value: int) -> bool:
-    return value >= 1 and value & (value - 1) == 0
+def _check_map(label: str, entries: tuple, count: int, limit: int) -> None:
+    if len(entries) != count:
+        raise ValueError(f"{label} has {len(entries)} columns, expected {count}")
+    # the bulk check runs in C; only a map it fails is walked, to name the column
+    if set(map(type, entries)) != {int} or not 1 <= min(entries) <= max(entries) <= limit:
+        for j, r in enumerate(entries):
+            if not isinstance(r, int) or isinstance(r, bool) or not 1 <= r <= limit:
+                raise ValueError(f"{label} column {j + 1} is {r!r}, not an int in 1..{limit}")
 
 
 @dataclass(frozen=True)
 class Bcn:
     """x(t+1) = L u(t) x(t) and y(t) = H x(t), everything in delta columns.
 
+    True is column 1 of the 2x2 identity, false column 2; a tuple of values
+    packs first variable most significant, so the all-true tuple is index 1.
     States range over 1..n_states, inputs over 1..n_inputs, outputs over
-    1..n_outputs; the three sizes are powers of two.  Transition columns are
-    stored input-first: the successor of state x under input u sits in
-    column (u-1)*n_states + x.
+    1..n_outputs; the three sizes are powers of two.  Each map lists the
+    1-based row of each column's single 1.  transition is input-first: the
+    successor of state x under input u is transition[(u-1)*n_states + x-1];
+    output_map[x-1] is the output of state x.
     """
 
     n_states: int
     n_inputs: int
     n_outputs: int
-    transition: LogicalMatrix
-    output_map: LogicalMatrix
+    transition: tuple[int, ...]
+    output_map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for label, value in (
-            ("n_states", self.n_states),
-            ("n_inputs", self.n_inputs),
-            ("n_outputs", self.n_outputs),
-        ):
-            if not _is_power_of_two(value):
+        for label in ("n_states", "n_inputs", "n_outputs"):
+            value = getattr(self, label)
+            if value < 1 or value & (value - 1):
                 raise ValueError(f"{label} must be a power of two, got {value}")
-        if self.transition.rows != self.n_states:
-            raise ValueError(
-                f"transition matrix has {self.transition.rows} rows, expected {self.n_states}"
-            )
-        if self.transition.cols != self.n_states * self.n_inputs:
-            raise ValueError(
-                f"transition matrix has {self.transition.cols} columns,"
-                f" expected {self.n_states * self.n_inputs}"
-            )
-        if self.output_map.rows != self.n_outputs:
-            raise ValueError(
-                f"output map has {self.output_map.rows} rows, expected {self.n_outputs}"
-            )
-        if self.output_map.cols != self.n_states:
-            raise ValueError(
-                f"output map has {self.output_map.cols} columns, expected {self.n_states}"
-            )
+        object.__setattr__(self, "transition", tuple(self.transition))
+        object.__setattr__(self, "output_map", tuple(self.output_map))
+        _check_map("transition map", self.transition, self.n_states * self.n_inputs, self.n_states)
+        _check_map("output map", self.output_map, self.n_states, self.n_outputs)
 
 
 def bcn_from_columns(
@@ -76,9 +69,7 @@ def bcn_from_columns(
     columns = tuple(transition_columns)
     if ordering == "state-first":
         columns = tuple(chain.from_iterable(columns[u::n_inputs] for u in range(n_inputs)))
-    transition = LogicalMatrix(n_states, columns)
-    output_map = LogicalMatrix(n_outputs, tuple(output_columns))
-    return Bcn(n_states, n_inputs, n_outputs, transition, output_map)
+    return Bcn(n_states, n_inputs, n_outputs, columns, output_columns)
 
 
 def _check_state(network: Bcn, state: int) -> None:
@@ -86,19 +77,15 @@ def _check_state(network: Bcn, state: int) -> None:
         raise ValueError(f"state {state} outside 1..{network.n_states}")
 
 
-def _check_input(network: Bcn, control: int) -> None:
-    if not 1 <= control <= network.n_inputs:
-        raise ValueError(f"input {control} outside 1..{network.n_inputs}")
-
-
 def step(network: Bcn, state: int, control: int) -> int:
     """Successor state index after driving one input symbol."""
     _check_state(network, state)
-    _check_input(network, control)
-    return network.transition.col_index[(control - 1) * network.n_states + state - 1]
+    if not 1 <= control <= network.n_inputs:
+        raise ValueError(f"input {control} outside 1..{network.n_inputs}")
+    return network.transition[(control - 1) * network.n_states + state - 1]
 
 
 def output(network: Bcn, state: int) -> int:
     """Output index emitted at a state."""
     _check_state(network, state)
-    return network.output_map.col_index[state - 1]
+    return network.output_map[state - 1]

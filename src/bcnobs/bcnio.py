@@ -13,11 +13,10 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .automata import Dfa
-from .bcn import Bcn, bcn_from_columns
+from .bcn import COLUMN_ORDERS, Bcn, bcn_from_columns
 from .observability import ObservabilityType, Verdict
 from .oracle import OracleVerdict
 from .pairgraph import Pair, PairGraph
-from .stp import COLUMN_ORDERS, LogicalMatrix
 
 
 class DocumentError(ValueError):
@@ -156,11 +155,16 @@ def parse_document(text: str) -> BcnDocument:
 
 
 def _table_columns(table: Mapping[str, str], key_width: int, value_width: int) -> tuple[int, ...]:
-    """Delta columns of a validated bit table: flipping every bit of a key
-    or value gives its 0-based delta index, '1' (true) counting as 0."""
+    """Delta columns of a bit table: flipping every bit of a key or value
+    gives its 0-based delta index, '1' (true) counting as 0.  A missing
+    row is left 0, which Bcn rejects."""
     key_mask, value_mask = 2 ** key_width - 1, 2 ** value_width - 1
-    columns = [0] * len(table)
+    columns = [0] * (key_mask + 1)
     for key, value in table.items():
+        if len(key) != key_width or len(value) != value_width or (key + value).strip("01"):
+            raise ValueError(
+                f"table row {key!r}: {value!r} is not {key_width} bits to {value_width} bits"
+            )
         columns[key_mask ^ int(key, 2)] = (value_mask ^ int(value, 2)) + 1
     return tuple(columns)
 
@@ -172,8 +176,8 @@ def document_to_bcn(document: BcnDocument) -> Bcn:
         return bcn_from_columns(
             n, m, q, document.transition_columns, document.output_columns, document.ordering
         )
-    transition = LogicalMatrix(2 ** n, _table_columns(document.update_table, m + n, n))
-    output_map = LogicalMatrix(2 ** q, _table_columns(document.output_table, n, q))
+    transition = _table_columns(document.update_table, m + n, n)
+    output_map = _table_columns(document.output_table, n, q)
     return Bcn(2 ** n, 2 ** m, 2 ** q, transition, output_map)
 
 
@@ -297,7 +301,7 @@ def build_report(
             "outputs": network.n_outputs,
         },
         "confusable_pairs": sum(
-            k * (k - 1) // 2 for k in Counter(network.output_map.col_index).values()
+            k * (k - 1) // 2 for k in Counter(network.output_map).values()
         ),
         "verdicts": {
             kind.value: _verdict_json(verdict) for kind, verdict in verdicts.items()
@@ -374,10 +378,6 @@ def gen_random_bcn(seed: int, n: int, m: int, q: int) -> Bcn:
     if n_states * n_inputs > MAX_TRANSITION_COLUMNS:
         raise ValueError("n + m too large for the exhaustive tooling")
     rng = random.Random(seed)
-    transition = LogicalMatrix(
-        n_states, tuple(rng.randint(1, n_states) for _ in range(n_states * n_inputs))
-    )
-    output_map = LogicalMatrix(
-        n_outputs, tuple(rng.randint(1, n_outputs) for _ in range(n_states))
-    )
+    transition = tuple(rng.randint(1, n_states) for _ in range(n_states * n_inputs))
+    output_map = tuple(rng.randint(1, n_outputs) for _ in range(n_states))
     return Bcn(n_states, n_inputs, n_outputs, transition, output_map)

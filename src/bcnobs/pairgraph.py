@@ -143,8 +143,8 @@ def build(network: Bcn) -> PairGraph:
     plus the class positions from a up to b.
     """
     n = network.n_states
-    out = np.asarray(network.output_map.col_index, dtype=np.int64)
-    step = np.asarray(network.transition.col_index, dtype=np.int64).reshape(-1, n)
+    out = np.asarray(network.output_map, dtype=np.int64)
+    step = np.asarray(network.transition, dtype=np.int64).reshape(-1, n)
     by_class = np.argsort(out, kind="stable")
     position = np.empty(n, dtype=np.int64)
     position[by_class] = np.arange(n)

@@ -12,10 +12,11 @@
   tuple per pair (shortest_words, exit_words) and Tarjan over the whole
   pair graph (on_cycle, find_lasso), before the lasso search peeled the
   pairs with no infinite walk.
-- The dense semi-tensor product and its index-arithmetic form on logical
-  matrices, the independent check that the algebraic form is right, with
-  the identity and delta constructors, the dense round trip and the
-  inverse of bool_tuple_index that the checks are written in.
+- The logical matrix (LogicalMatrix, a column-index list with its row
+  count), the dense semi-tensor product and its index-arithmetic form on
+  logical matrices, the independent check that the algebraic form is
+  right, with the identity and delta constructors, the dense round trip
+  and the inverse of bool_tuple_index that the checks are written in.
 - Word runs on networks (trajectory) and on automata (accepts).
 - The walks over a finished machine (is_complete, shortest_undefined_word),
   which the library's hole search, automata.least_hole, replaced and is
@@ -45,12 +46,11 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from bcnobs.automata import Dfa, Lasso, Word
-from bcnobs.bcn import Bcn, output, step
+from bcnobs.bcn import COLUMN_ORDERS, Bcn, output, step
 from bcnobs.bcnio import BcnDocument, _label
 from bcnobs.observability import AutomatonStat, ObservabilityType, Verdict, type_automata
 from bcnobs.oracle import _enumeration_cost
 from bcnobs.pairgraph import UNREACHED, PairGraph
-from bcnobs.stp import COLUMN_ORDERS, LogicalMatrix
 
 from pairviews import PairVertex
 
@@ -92,8 +92,8 @@ def search_build(network: Bcn) -> PairGraph:
     """The integer-indexed pair graph, successor ids found by binary search
     on the key lo * (N + 1) + hi."""
     n = network.n_states
-    out = np.asarray(network.output_map.col_index, dtype=np.int64)
-    step = np.asarray(network.transition.col_index, dtype=np.int64).reshape(-1, n)
+    out = np.asarray(network.output_map, dtype=np.int64)
+    step = np.asarray(network.transition, dtype=np.int64).reshape(-1, n)
     by_class = np.argsort(out, kind="stable")
     position = np.empty(n, dtype=np.int64)
     position[by_class] = np.arange(n)
@@ -397,6 +397,35 @@ def find_lasso(graph: PairGraph, sources: list[int]) -> Optional[Lasso]:
     return Lasso(graph.pairs[source], words[source], cycle)
 
 
+@dataclass(frozen=True)
+class LogicalMatrix:
+    """A 0/1 matrix with exactly one 1 per column, stored by column index.
+
+    col_index[j] is the 1-based row of the single nonzero entry of column
+    j + 1.  The representation makes products and column lookups cheap and
+    keeps the decision pipeline in exact integer arithmetic.
+    """
+
+    rows: int
+    col_index: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.rows < 1:
+            raise ValueError(f"rows must be positive, got {self.rows}")
+        object.__setattr__(self, "col_index", tuple(self.col_index))
+        for j, r in enumerate(self.col_index):
+            if not isinstance(r, int) or isinstance(r, bool):
+                raise ValueError(f"column {j + 1} index must be an int, got {r!r}")
+            if not 1 <= r <= self.rows:
+                raise ValueError(
+                    f"column {j + 1} points at row {r}, outside 1..{self.rows}"
+                )
+
+    @property
+    def cols(self) -> int:
+        return len(self.col_index)
+
+
 def identity(n: int) -> LogicalMatrix:
     return LogicalMatrix(n, tuple(range(1, n + 1)))
 
@@ -656,8 +685,7 @@ def compile_document(document: BcnDocument) -> Bcn:
             LogicalMatrix(n_states, document.transition_columns),
             n_states, n_inputs, document.ordering, "input-first",
         )
-        output_map = LogicalMatrix(n_outputs, document.output_columns)
-        return Bcn(n_states, n_inputs, n_outputs, transition, output_map)
+        return Bcn(n_states, n_inputs, n_outputs, transition.col_index, document.output_columns)
     update = {
         _bits_to_bools(key): _bits_to_bools(value)
         for key, value in document.update_table.items()
@@ -668,7 +696,7 @@ def compile_document(document: BcnDocument) -> Bcn:
     }
     transition = from_truth_table(document.m + document.n, document.n, update)
     output_map = from_truth_table(document.n, document.q, out_table)
-    return Bcn(n_states, n_inputs, n_outputs, transition, output_map)
+    return Bcn(n_states, n_inputs, n_outputs, transition.col_index, output_map.col_index)
 
 
 def _grouped_edge_lines(rows: list[tuple[str, int, str]]) -> list[str]:

@@ -4,9 +4,8 @@ from hypothesis import given, strategies as st
 
 from bcnobs.bcn import Bcn, bcn_from_columns, output, step
 from bcnobs.bcnio import gen_random_bcn
-from bcnobs.stp import LogicalMatrix
 
-from reference import delta, stp, to_dense, trajectory
+from reference import LogicalMatrix, delta, stp, to_dense, trajectory
 
 # Successor tables keyed by (state, input), worked out from the fixture
 # transition matrices by hand.
@@ -46,7 +45,7 @@ def test_output_tables(fixture, table, request):
 
 def test_step_matches_dense_semantics(bcn5):
     # x(t+1) = L u x through the dense semi-tensor product
-    dense_l = to_dense(bcn5.transition)
+    dense_l = to_dense(LogicalMatrix(4, bcn5.transition))
     for control in (1, 2):
         for state in (1, 2, 3, 4):
             column = stp(
@@ -100,16 +99,50 @@ def test_bcn_from_columns_requires_known_ordering():
 
 
 def test_bcn_validates_shapes():
-    ok = LogicalMatrix(2, (1, 2, 2, 1))
-    out = LogicalMatrix(2, (1, 2))
+    ok = (1, 2, 2, 1)
+    out = (1, 2)
     with pytest.raises(ValueError, match="power of two"):
         Bcn(3, 2, 2, ok, out)
     with pytest.raises(ValueError, match="columns"):
-        Bcn(2, 2, 2, LogicalMatrix(2, (1, 2)), out)
-    with pytest.raises(ValueError, match="rows"):
-        Bcn(2, 2, 2, ok, LogicalMatrix(4, (1, 2)))
+        Bcn(2, 2, 2, (1, 2), out)
+    with pytest.raises(ValueError, match="output map column 2 is 3"):
+        Bcn(2, 2, 2, ok, (1, 3))
+
+
+# Bcn(2, 2, 4, ...): the transition map has 4 columns over rows 1..2, the
+# output map 2 columns over rows 1..4.
+TRANSITION_OK, OUTPUT_OK = (1, 2, 2, 1), (4, 1)
+
+
+@pytest.mark.parametrize("field,entries,match", [
+    ("transition", (1, 2, 0, 1), "transition map column 3 is 0"),
+    ("transition", (1, 2, 3, 1), "transition map column 3 is 3"),
+    ("transition", (1, True, 2, 1), "transition map column 2 is True"),
+    ("transition", (1, 2, 1.0, 1), "transition map column 3 is 1.0"),
+    ("transition", (1, "1", 2, 1), "transition map column 2 is '1'"),
+    ("transition", (1, 2, 2), "transition map has 3 columns, expected 4"),
+    ("transition", (1, 2, 2, 1, 1), "transition map has 5 columns, expected 4"),
+    ("output_map", (0, 1), "output map column 1 is 0"),
+    ("output_map", (4, 5), "output map column 2 is 5"),
+    ("output_map", (True, 1), "output map column 1 is True"),
+    ("output_map", (4, 1.0), "output map column 2 is 1.0"),
+    ("output_map", ("1", 1), "output map column 1 is '1'"),
+    ("output_map", (4,), "output map has 1 columns, expected 2"),
+])
+def test_bcn_rejects_bad_map_entries(field, entries, match):
+    maps = {"transition": TRANSITION_OK, "output_map": OUTPUT_OK, field: entries}
+    with pytest.raises(ValueError, match=match):
+        Bcn(2, 2, 4, maps["transition"], maps["output_map"])
+
+
+def test_bcn_coerces_lists_to_tuples():
+    from_lists = Bcn(2, 2, 4, list(TRANSITION_OK), list(OUTPUT_OK))
+    from_tuples = Bcn(2, 2, 4, TRANSITION_OK, OUTPUT_OK)
+    assert type(from_lists.transition) is tuple and type(from_lists.output_map) is tuple
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
 
 
 def test_input_first_storage(bcn5):
     # state-first fixture columns land input-first internally
-    assert bcn5.transition.col_index == (1, 2, 2, 1, 1, 1, 4, 1)
+    assert bcn5.transition == (1, 2, 2, 1, 1, 1, 4, 1)

@@ -111,7 +111,7 @@ class TestDecide:
         document = tmp_path / "random7.json"
         document.write_text(json.dumps({
             "n": 2, "m": 1, "q": 1, "ordering": "input-first",
-            "L": list(network.transition.col_index), "H": list(network.output_map.col_index),
+            "L": list(network.transition), "H": list(network.output_map),
         }))
         code = run_cli(["decide", str(document), "--type", "II", "--witness",
                         "--oracle-check", "--horizon", "1"])
@@ -128,7 +128,7 @@ class TestDecide:
         document = tmp_path / "random64.json"
         document.write_text(json.dumps({
             "n": 6, "m": 1, "q": 2, "ordering": "input-first",
-            "L": list(network.transition.col_index), "H": list(network.output_map.col_index),
+            "L": list(network.transition), "H": list(network.output_map),
         }))
         target = tmp_path / "report.json"
         started = time.perf_counter()
@@ -253,7 +253,7 @@ class TestTwoDigitLabels:
         path = tmp_path / "random16.json"
         path.write_text(json.dumps({
             "n": 4, "m": 1, "q": 1, "ordering": "input-first",
-            "L": list(network.transition.col_index), "H": list(network.output_map.col_index),
+            "L": list(network.transition), "H": list(network.output_map),
         }))
         return str(path)
 

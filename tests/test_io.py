@@ -111,8 +111,8 @@ class TestTruthTableForm:
             "update": {"11": "1", "10": "0", "01": "0", "00": "1"},
             "output": {"1": "1", "0": "0"},
         }))
-        assert network.transition.col_index == (1, 2, 2, 1)
-        assert network.output_map.col_index == (1, 2)
+        assert network.transition == (1, 2, 2, 1)
+        assert network.output_map == (1, 2)
 
     def test_matches_matrix_form(self, bcn5):
         update, out = _tables_from(bcn5, 2, 1, 1)
@@ -139,6 +139,29 @@ class TestTruthTableForm:
             parse_document(json.dumps(document))
 
 
+    @pytest.mark.parametrize("update,output_table", [
+        ({"11": "1", "10": "0", "01": "0", "0": "1"}, {"1": "1", "0": "0"}),
+        ({"11": "1", "10": "0", "01": "0", "111": "1"}, {"1": "1", "0": "0"}),
+        ({"11": "1", "10": "0", "01": "0", "00": "1"}, {"1": "00", "0": "0"}),
+        ({"11": "1", "10": "0", "01": "0", "0_": "1"}, {"1": "1", "0": "0"}),
+        ({"11": "1", "10": "0", "01": "0", "00": "1"}, {"1": "1", "0": "+"}),
+    ])
+    def test_compile_rejects_malformed_rows(self, update, output_table):
+        # parse_document checks the widths; a hand-built document is
+        # checked again where its bits are read
+        document = BcnDocument(n=1, m=1, q=1, update_table=update, output_table=output_table)
+        with pytest.raises(ValueError, match="is not [12] bits to [12] bits"):
+            document_to_bcn(document)
+
+    def test_compile_rejects_missing_row(self):
+        document = BcnDocument(
+            n=1, m=1, q=1,
+            update_table={"11": "1", "10": "0", "01": "0"}, output_table={"1": "1", "0": "0"},
+        )
+        with pytest.raises(ValueError, match="transition map column 4 is 0"):
+            document_to_bcn(document)
+
+
 class TestRoundTrip:
     def test_matrix_document(self):
         document = load_document(fixture_path("bcn6"))
@@ -157,8 +180,8 @@ class TestRoundTrip:
         document = BcnDocument(
             n=2, m=1, q=1,
             ordering="input-first",
-            transition_columns=network.transition.col_index,
-            output_columns=network.output_map.col_index,
+            transition_columns=network.transition,
+            output_columns=network.output_map,
         )
         recovered = parse_document(serialize_document(document))
         assert recovered == document
@@ -174,12 +197,12 @@ def _three_bodies(network, n, m, q):
         for control in range(1, network.n_inputs + 1)
     )
     update, out = _tables_from(network, n, m, q)
-    h = network.output_map.col_index
+    h = network.output_map
     documents = [
         BcnDocument(n=n, m=m, q=q, ordering="state-first",
                     transition_columns=state_first, output_columns=h),
         BcnDocument(n=n, m=m, q=q, ordering="input-first",
-                    transition_columns=network.transition.col_index, output_columns=h),
+                    transition_columns=network.transition, output_columns=h),
         BcnDocument(n=n, m=m, q=q, update_table=update, output_table=out),
     ]
     return [parse_document(serialize_document(document)) for document in documents]
@@ -272,7 +295,7 @@ class TestRandomGeneration:
     def test_dimensions(self):
         network = gen_random_bcn(0, 3, 2, 1)
         assert (network.n_states, network.n_inputs, network.n_outputs) == (8, 4, 2)
-        assert network.transition.cols == 32
+        assert len(network.transition) == 32
 
     @pytest.mark.parametrize("n,m,q", [(0, 1, 1), (9, 1, 1), (8, 8, 1), (1, 0, 1)])
     def test_bounds(self, n, m, q):

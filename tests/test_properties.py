@@ -169,7 +169,7 @@ def test_pair_count_matches_output_classes(network):
     graph = build(network)
     classes = {}
     for state in range(1, network.n_states + 1):
-        classes.setdefault(network.output_map.col_index[state - 1], []).append(state)
+        classes.setdefault(network.output_map[state - 1], []).append(state)
     expected = sum(len(c) * (len(c) - 1) // 2 for c in classes.values())
     assert len(confusable_pairs(network)) == expected
     assert len(non_diagonal_vertices(graph)) == expected

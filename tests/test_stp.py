@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bcnobs.stp import LogicalMatrix
-
 from reference import (
+    LogicalMatrix,
     bool_tuple_index,
     delta,
     from_dense,
