@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Sweep seeded random networks for implication violations.
 
-Tallies the observability profile (which of the four notions hold) across
-the sweep and cross-checks a slice of it against the exhaustive oracle.
-Any violation or disagreement makes the exit code 1.
+Prints one line per network with the four verdicts (y observable, n not),
+tallies the observability profiles across the sweep and cross-checks a
+slice of it against the exhaustive oracle, as `bcnobs decide --oracle-check`
+does.  The oracle's word budget is 2**14 unless BCNOBS_ENUM_BUDGET sets it.
+Any implication violation or DISAGREES makes the exit code 1; a bad
+argument or budget makes it 2.
 """
 
 import argparse
@@ -14,9 +17,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bcnobs.bcnio import gen_random_bcn
-from bcnobs.observability import ObservabilityType, exact_oracle_horizon, implication_matrix
-from bcnobs.oracle import brute_force
+from bcnobs.bcnio import DocumentError, gen_random_bcn
+from bcnobs.cli import budget_from_env, cross_check, oracle_line
+from bcnobs.observability import ObservabilityType, implication_matrix
 from bcnobs.pairgraph import build
 
 
@@ -34,58 +37,47 @@ def main():
         metavar="K",
         help="run the exhaustive cross-check on every K-th network (0 = never)",
     )
-    parser.add_argument(
-        "--oracle-budget",
-        type=int,
-        default=2 ** 14,
-        help="word-enumeration budget per cross-check; a search cut short by "
-        "it counts as a disagreement only when it finds words the decider "
-        "missed, and as inconclusive otherwise",
-    )
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
+    if args.oracle_every < 0:
+        parser.error("--oracle-every must be 0 or more")
     try:
         gen_random_bcn(args.start_seed, args.n, args.m, args.q)
     except ValueError as exc:
         parser.error(f"--n/--m/--q: {exc}")
-    if args.oracle_budget < 2 ** args.m:
-        parser.error(f"--oracle-budget must cover a single-letter search ({2 ** args.m} words)")
+    try:
+        budget = budget_from_env(2 ** args.m, default=2 ** 14)
+    except DocumentError as exc:
+        parser.error(str(exc))
 
     profiles = collections.Counter()
-    violations = 0
-    disagreements = 0
-    inconclusive = 0
-    checked = 0
+    markers = collections.Counter()
+    violations = checked = not_conclusive = 0
     started = time.perf_counter()
     for index in range(args.seeds):
         seed = args.start_seed + index
         network = gen_random_bcn(seed, args.n, args.m, args.q)
         graph = build(network)
         report = implication_matrix(network, graph)
-        profile = "".join(
-            "y" if report.verdicts[kind].observable else "-"
-            for kind in ObservabilityType
+        flags = ["y" if report.verdicts[kind].observable else "n" for kind in ObservabilityType]
+        profiles["".join(flags).replace("n", "-")] += 1
+        line = f"seed {seed}: " + " ".join(
+            f"{kind.value}={flag}" for kind, flag in zip(ObservabilityType, flags)
         )
-        profiles[profile] += 1
         if not report.consistent:
             violations += 1
             broken = ", ".join(f"{a.value}=>{b.value}" for a, b in report.violations)
-            print(f"seed {seed}: VIOLATION {broken}")
+            line += f"  IMPLICATION VIOLATION: {broken}"
+        print(line)
         if args.oracle_every and index % args.oracle_every == 0:
             checked += 1
-            for kind in ObservabilityType:
-                horizon = exact_oracle_horizon(network, kind, graph)
-                result = brute_force(
-                    network,
-                    kind,
-                    horizon,
-                    budget=args.oracle_budget,
-                    sufficient_horizon=horizon,
-                )
-                if result.refutes(report.verdicts[kind].observable):
-                    disagreements += 1
-                    print(f"seed {seed}: type {kind.value} ORACLE DISAGREES")
-                elif not (result.exact or result.observable):
-                    inconclusive += 1
+            results = cross_check(network, graph, report.verdicts, budget)
+            for kind, (result, marker) in results.items():
+                markers[marker] += 1
+                not_conclusive += not result.exact
+                if marker != "agrees":
+                    print(f"  {oracle_line(kind, result, marker)}")
     elapsed = time.perf_counter() - started
 
     print(f"\n{args.seeds} networks (n={args.n}, m={args.m}, q={args.q})"
@@ -94,9 +86,10 @@ def main():
     for profile, count in sorted(profiles.items(), key=lambda kv: -kv[1]):
         print(f"{profile:>7}  {count}")
     print(f"implication violations: {violations}")
-    print(f"oracle cross-checks: {checked} networks, {disagreements} disagreements,"
-          f" {inconclusive} inconclusive (budget)")
-    return 1 if violations or disagreements else 0
+    print(f"oracle cross-checks: {checked} networks, {markers['agrees']} agrees,"
+          f" {markers['DISAGREES']} DISAGREES, {markers['inconclusive']} inconclusive,"
+          f" {not_conclusive} not conclusive")
+    return 1 if violations or markers["DISAGREES"] else 0
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 clean, 1 a requested check found a violation (an oracle
-result that refutes a verdict, a failed witness replay, an implication
-violation), 2 unusable input (a DocumentError: bad document, option or
-environment value, unwritable output path), 3 internal fault (any other
-exception; its traceback goes to stderr).  The oracle's enumeration budget
-can be overridden with BCNOBS_ENUM_BUDGET.
+result that refutes a verdict, a failed witness replay), 2 unusable input
+(a DocumentError: bad document, option or environment value, unwritable
+output path), 3 internal fault (any other exception; its traceback goes to
+stderr).  The oracle searches to its conclusive depth unless its word
+budget, which BCNOBS_ENUM_BUDGET overrides, cuts the search short.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .bcnio import (
     build_report,
     emit_automaton_dot,
     emit_dot,
-    gen_random_bcn,
     load_document,
     document_to_bcn,
     report_text,
@@ -34,10 +33,9 @@ from .observability import (
     ObservabilityType,
     Verdict,
     exact_oracle_horizon,
-    implication_matrix,
     type_automata,
 )
-from .oracle import DEFAULT_BUDGET, brute_force, verify_witness
+from .oracle import DEFAULT_BUDGET, OracleVerdict, brute_force, verify_witness
 from .pairgraph import build
 
 EXIT_OK = 0
@@ -69,13 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check against brute-force enumeration and verify witnesses",
     )
-    decide.add_argument(
-        "--horizon",
-        type=int,
-        default=None,
-        help="override the oracle search depth; needs --oracle-check"
-        " (default: a conclusive depth)",
-    )
     decide.add_argument("--json", metavar="OUT", help="write a JSON report here")
 
     graph = sub.add_parser("graph", help="emit the weighted pair graph as DOT")
@@ -95,18 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     automata.add_argument(
         "--dot-dir", metavar="DIR", help="write one DOT file per machine here"
     )
-
-    rand = sub.add_parser("random", help="generate seeded random networks and check them")
-    rand.add_argument("--seed", type=int, required=True)
-    rand.add_argument("--count", type=int, required=True)
-    rand.add_argument("--n", type=int, default=2, help="state variables (default 2)")
-    rand.add_argument("--m", type=int, default=1, help="input variables (default 1)")
-    rand.add_argument("--q", type=int, default=1, help="output variables (default 1)")
-    rand.add_argument(
-        "--check-implications",
-        action="store_true",
-        help="assert the one-way implications between the four notions",
-    )
     return parser
 
 
@@ -116,10 +95,11 @@ def _selected_types(choice: str) -> list[ObservabilityType]:
     return [ObservabilityType(choice)]
 
 
-def _budget_from_env(n_inputs: int) -> int:
+def budget_from_env(n_inputs: int, default: int = DEFAULT_BUDGET) -> int:
+    """The oracle's word budget: BCNOBS_ENUM_BUDGET, checked, else default."""
     raw = os.environ.get("BCNOBS_ENUM_BUDGET")
     if raw is None:
-        return DEFAULT_BUDGET
+        return default
     try:
         budget = int(raw)
     except ValueError:
@@ -130,6 +110,33 @@ def _budget_from_env(n_inputs: int) -> int:
             f" over {n_inputs} inputs"
         )
     return budget
+
+
+def cross_check(
+    network: Bcn, graph, verdicts: dict[ObservabilityType, Verdict], budget: int
+) -> dict[ObservabilityType, tuple[OracleVerdict, str]]:
+    """Brute force at the conclusive horizon against each verdict, with its
+    marker: agrees, DISAGREES (the oracle refutes the verdict) or
+    inconclusive (the answers differ, but a budget-cut search refutes
+    nothing)."""
+    checked = {}
+    for kind, verdict in verdicts.items():
+        horizon = exact_oracle_horizon(network, kind, graph)
+        result = brute_force(network, kind, horizon, budget=budget, sufficient_horizon=horizon)
+        if result.observable == verdict.observable:
+            marker = "agrees"
+        elif result.refutes(verdict.observable):
+            marker = "DISAGREES"
+        else:
+            marker = "inconclusive"
+        checked[kind] = (result, marker)
+    return checked
+
+
+def oracle_line(kind: ObservabilityType, result: OracleVerdict, marker: str) -> str:
+    note = "" if result.exact else " (horizon not conclusive)"
+    flag = "observable" if result.observable else "not observable"
+    return f"oracle {kind.value}: horizon {result.horizon}, {flag}, {marker}{note}"
 
 
 def _word_text(word) -> str:
@@ -193,12 +200,8 @@ def _load(path: str) -> tuple[Bcn, Optional[str]]:
 
 
 def _cmd_decide(args) -> int:
-    if args.horizon is not None and not args.oracle_check:
-        raise DocumentError("--horizon needs --oracle-check")
-    if args.horizon is not None and args.horizon < 1:
-        raise DocumentError("--horizon must be at least 1")
     network, name = _load(args.file)
-    budget = _budget_from_env(network.n_inputs) if args.oracle_check else None
+    budget = budget_from_env(network.n_inputs) if args.oracle_check else None
     _claim(args.json)
     graph = build(network)
     kinds = _selected_types(args.type)
@@ -216,25 +219,11 @@ def _cmd_decide(args) -> int:
     witnesses_verified = None
     if args.oracle_check:
         oracle_results = {}
-        for kind in kinds:
-            conclusive = exact_oracle_horizon(network, kind, graph)
-            horizon = args.horizon if args.horizon is not None else conclusive
-            result = brute_force(
-                network, kind, horizon, budget=budget, sufficient_horizon=conclusive
-            )
+        for kind, (result, marker) in cross_check(network, graph, verdicts, budget).items():
             oracle_results[kind] = result
-            if result.observable == verdicts[kind].observable:
-                marker = "agrees"
-            elif result.refutes(verdicts[kind].observable):
-                marker = "DISAGREES"
+            if marker == "DISAGREES":
                 exit_code = EXIT_VIOLATION
-            else:
-                marker = "inconclusive"
-            note = "" if result.exact else " (horizon not conclusive)"
-            print(
-                f"oracle {kind.value}: horizon {result.horizon}, "
-                f"{'observable' if result.observable else 'not observable'}, {marker}{note}"
-            )
+            print(oracle_line(kind, result, marker))
         witnesses_verified = True
         for kind in kinds:
             for payload in verdicts[kind].witness_payloads():
@@ -300,39 +289,10 @@ def _cmd_automata(args) -> int:
     return EXIT_OK
 
 
-def _cmd_random(args) -> int:
-    if args.count < 1:
-        raise DocumentError("--count must be positive")
-    violations = 0
-    for index in range(args.count):
-        try:
-            network = gen_random_bcn(args.seed + index, args.n, args.m, args.q)
-        except ValueError as exc:
-            raise DocumentError(f"--n/--m/--q: {exc}") from None
-        report = implication_matrix(network)
-        flags = " ".join(
-            f"{kind.value}={'y' if report.verdicts[kind].observable else 'n'}"
-            for kind in ObservabilityType
-        )
-        line = f"seed {args.seed + index}: {flags}"
-        if args.check_implications and not report.consistent:
-            violations += 1
-            broken = ", ".join(f"{a.value}=>{b.value}" for a, b in report.violations)
-            line += f"  IMPLICATION VIOLATION: {broken}"
-        print(line)
-    if args.check_implications:
-        print(
-            f"checked {args.count} networks"
-            f" (n={args.n}, m={args.m}, q={args.q}): {violations} violations"
-        )
-    return EXIT_VIOLATION if violations else EXIT_OK
-
-
 _COMMANDS = {
     "decide": _cmd_decide,
     "graph": _cmd_graph,
     "automata": _cmd_automata,
-    "random": _cmd_random,
 }
 
 

@@ -83,19 +83,12 @@ class TestDecide:
         assert "oracle IV: horizon 3, not observable, agrees" in out
         assert out[-1] == "witnesses verified"
 
-    def test_oracle_short_horizon_is_flagged(self, capsys):
-        code = run_cli(["decide", BCN5, "--type", "IV", "--oracle-check", "--horizon", "1"])
+    def test_oracle_short_horizon_is_flagged(self, capsys, monkeypatch):
+        monkeypatch.setenv("BCNOBS_ENUM_BUDGET", "2")  # one letter over M = 2 inputs
+        code = run_cli(["decide", BCN5, "--type", "IV", "--oracle-check"])
         assert code == 0
         out = capsys.readouterr().out
         assert "oracle IV: horizon 1, not observable, agrees (horizon not conclusive)" in out
-
-    def test_huge_horizon_is_fitted_to_budget_at_once(self, capsys):
-        started = time.perf_counter()
-        code = run_cli(["decide", BCN5, "--type", "II", "--oracle-check", "--horizon", "1000000"])
-        elapsed = time.perf_counter() - started
-        assert code == 0
-        assert "oracle II: horizon 19, observable" in capsys.readouterr().out
-        assert elapsed < 2.0
 
     def test_budget_env_clamps_horizon(self, capsys, monkeypatch):
         monkeypatch.setenv("BCNOBS_ENUM_BUDGET", "4")
@@ -104,17 +97,18 @@ class TestDecide:
         out = capsys.readouterr().out
         assert "oracle II: horizon 1, observable, agrees (horizon not conclusive)" in out
 
-    def test_short_horizon_not_observable_is_inconclusive(self, tmp_path, capsys):
-        # the least type II word for pair (1,2) is [1,1], so at horizon 1 the
-        # oracle finds none for it; that proves nothing against the verdict
+    def test_short_horizon_not_observable_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        # the least type II word for pair (1,2) is [1,1], so at the horizon 1
+        # that a budget of 2 words allows the oracle finds none for it; that
+        # proves nothing against the verdict
+        monkeypatch.setenv("BCNOBS_ENUM_BUDGET", "2")
         network = gen_random_bcn(7, 2, 1, 1)
         document = tmp_path / "random7.json"
         document.write_text(json.dumps({
             "n": 2, "m": 1, "q": 1, "ordering": "input-first",
             "L": list(network.transition), "H": list(network.output_map),
         }))
-        code = run_cli(["decide", str(document), "--type", "II", "--witness",
-                        "--oracle-check", "--horizon", "1"])
+        code = run_cli(["decide", str(document), "--type", "II", "--witness", "--oracle-check"])
         assert code == 0
         out = capsys.readouterr().out.splitlines()
         assert "  pair (1,2): [1,1]" in out
@@ -146,7 +140,8 @@ class TestDecide:
             return Verdict(ObservabilityType.TYPE_II, False, offending_pair=(2, 3))
 
         monkeypatch.setitem(DECIDERS, ObservabilityType.TYPE_II, wrong)
-        code = run_cli(["decide", BCN5, "--type", "II", "--oracle-check", "--horizon", "1"])
+        monkeypatch.setenv("BCNOBS_ENUM_BUDGET", "2")
+        code = run_cli(["decide", BCN5, "--type", "II", "--oracle-check"])
         assert code == 1
         out = capsys.readouterr().out
         assert "oracle II: horizon 1, observable, DISAGREES (horizon not conclusive)" in out
@@ -281,32 +276,6 @@ class TestTwoDigitLabels:
         assert witnesses["1,3"] == [2] and witnesses["1,12"] == [2]
 
 
-class TestRandom:
-    def test_check_implications(self, capsys):
-        code = run_cli([
-            "random", "--seed", "7", "--count", "3", "--check-implications",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out.splitlines()
-        assert len(out) == 4
-        for index, line in enumerate(out[:3]):
-            assert line.startswith(f"seed {7 + index}: I=")
-        assert out[3] == "checked 3 networks (n=2, m=1, q=1): 0 violations"
-
-    def test_flags_format(self, capsys):
-        assert run_cli(["random", "--seed", "123", "--count", "1"]) == 0
-        line = capsys.readouterr().out.strip()
-        prefix, flags = line.split(": ")
-        assert prefix == "seed 123"
-        parts = flags.split(" ")
-        assert [p.split("=")[0] for p in parts] == ["I", "II", "III", "IV"]
-        assert all(p.split("=")[1] in {"y", "n"} for p in parts)
-
-    def test_count_must_be_positive(self, capsys):
-        assert run_cli(["random", "--seed", "1", "--count", "0"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
 class TestErrors:
     def test_missing_file(self, capsys, tmp_path):
         code = run_cli(["decide", str(tmp_path / "nope.json")])
@@ -378,19 +347,6 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
-
-    def test_horizon_below_one_is_bad_input(self, capsys):
-        code = run_cli(["decide", BCN5, "--oracle-check", "--horizon", "0"])
-        assert code == 2
-        assert "--horizon" in capsys.readouterr().err
-
-    def test_horizon_without_oracle_check_is_bad_input(self, capsys):
-        assert run_cli(["decide", BCN5, "--horizon", "3"]) == 2
-        assert "--oracle-check" in capsys.readouterr().err
-
-    def test_random_sizes_out_of_range_are_bad_input(self, capsys):
-        assert run_cli(["random", "--seed", "1", "--count", "1", "--n", "9"]) == 2
-        assert "error:" in capsys.readouterr().err
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def broken(network, graph):

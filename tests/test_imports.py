@@ -2,7 +2,8 @@
 
 The oracle's brute force is an independent check on the deciders only as
 long as it shares none of their machinery, so it may read the network and
-the type names and nothing else.
+the type names and nothing else.  The cross-check against it lives in one
+place, bcnobs.cli.cross_check, which the scripts call rather than repeat.
 """
 
 import ast
@@ -11,6 +12,7 @@ from pathlib import Path
 import bcnobs
 
 PACKAGE = Path(bcnobs.__file__).resolve().parent
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def package_imports(path: Path) -> set[tuple[str, tuple[str, ...]]]:
@@ -48,3 +50,16 @@ def test_no_module_imports_stp():
     for path in modules:
         for module, names in package_imports(path):
             assert module != "bcnobs.stp" and not (module == "bcnobs" and "stp" in names), path
+
+
+def test_scripts_leave_the_oracle_to_the_cli():
+    scripts = sorted(SCRIPTS.glob("*.py"))
+    assert scripts
+    for path in scripts:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for module, imported in package_imports(path):
+            assert module != "bcnobs.oracle", path
+            names.update(imported)
+        assert not names & {"oracle", "brute_force", "exact_oracle_horizon"}, path

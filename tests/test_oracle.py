@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +91,14 @@ class TestBruteForce:
         assert verdict.horizon == 2  # 2 + 4 words fit, the next level does not
         assert verdict.budget_limited
         assert verdict.observable  # every distinguishing word here has length 1
+
+    def test_huge_horizon_is_fitted_to_budget_at_once(self, bcn5):
+        started = time.perf_counter()
+        verdict = brute_force(bcn5, T_II, 10 ** 6)
+        elapsed = time.perf_counter() - started
+        assert verdict.horizon == 19  # 2 + 4 + ... + 2**19 words fit the 2**20 default
+        assert verdict.budget_limited and verdict.observable
+        assert elapsed < 2.0
 
     def test_budget_too_small(self, bcn5):
         with pytest.raises(ValueError, match="budget"):

@@ -223,7 +223,7 @@ def test_horizon_from_pruned_search_against_full_machines():
     on the oracle-check shapes: never larger; the oracle gives the same
     answer at both; and at the new one it matches the deciders and is
     conclusive on every negative of types I to III."""
-    budget = 16384  # as bench/ and scripts/implication_sweep.py check the oracle
+    budget = 16384  # bench/'s oracle budget and scripts/implication_sweep.py's default
     shrunk = tight = negatives = 0
     for seed in range(8):
         for shape in ((2, 1, 1), (3, 2, 2), (3, 1, 1), (4, 2, 3)):

@@ -9,6 +9,7 @@ import pytest
 
 import bcnobs.observability
 import bcnobs.pairgraph
+from bcnobs.observability import DECIDERS, ObservabilityType, Verdict
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -42,14 +43,115 @@ def test_implication_sweep():
     assert "implication violations: 0" in proc.stdout
 
 
+def _sweep(monkeypatch, capsys, *args):
+    """Run implication_sweep.py in this process: (exit code, stdout, stderr)."""
+    monkeypatch.setattr(sys, "argv", ["implication_sweep.py", *args])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(SCRIPTS / "implication_sweep.py"), run_name="__main__")
+    out, err = capsys.readouterr()
+    return exited.value.code, out, err
+
+
 @pytest.mark.parametrize(
-    "args, option", [(["--n", "9"], "--n"), (["--oracle-budget", "0"], "--oracle-budget")]
+    "args, option",
+    [
+        (["--n", "9"], "--n"),
+        (["--oracle-budget", "0"], "--oracle-budget"),  # removed: refused, not ignored
+        (["--seeds", "0"], "--seeds"),
+        (["--oracle-every", "-3"], "--oracle-every"),
+    ],
 )
-def test_implication_sweep_rejects_bad_arguments(args, option):
-    proc = _run("implication_sweep.py", "--seeds", "1", *args)
-    assert proc.returncode == 2
-    assert "error:" in proc.stderr and option in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_implication_sweep_rejects_bad_arguments(monkeypatch, capsys, args, option):
+    code, out, err = _sweep(monkeypatch, capsys, "--seeds", "1", *args)
+    assert code == 2 and out == ""
+    assert "error:" in err and option in err
+    assert "Traceback" not in err
+
+
+def test_implication_sweep_seed_lines(monkeypatch, capsys):
+    code, out, _ = _sweep(monkeypatch, capsys, "--start-seed", "7", "--seeds", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == [
+        "seed 7: I=y II=y III=y IV=n",
+        "seed 8: I=n II=n III=n IV=n",
+        "seed 9: I=y II=y III=y IV=y",
+    ]
+    assert "implication violations: 0" in lines
+    assert lines[-1] == (
+        "oracle cross-checks: 1 networks, 4 agrees, 0 DISAGREES, 0 inconclusive,"
+        " 0 not conclusive"
+    )
+
+
+def test_implication_sweep_flags_format(monkeypatch, capsys):
+    code, out, _ = _sweep(monkeypatch, capsys, "--start-seed", "123", "--seeds", "1")
+    assert code == 0
+    prefix, flags = out.splitlines()[0].split(": ")
+    assert prefix == "seed 123"
+    parts = flags.split(" ")
+    assert [p.split("=")[0] for p in parts] == ["I", "II", "III", "IV"]
+    assert all(p.split("=")[1] in {"y", "n"} for p in parts)
+
+
+def test_implication_violation_exits_1(monkeypatch, capsys):
+    def wrong(network, graph):
+        return Verdict(ObservabilityType.TYPE_IV, True)
+
+    monkeypatch.setitem(DECIDERS, ObservabilityType.TYPE_IV, wrong)
+    code, out, _ = _sweep(
+        monkeypatch, capsys, "--start-seed", "8", "--seeds", "1", "--oracle-every", "0"
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == (
+        "seed 8: I=n II=n III=n IV=y  IMPLICATION VIOLATION: IV=>III, IV=>I, IV=>II"
+    )
+    assert "implication violations: 1" in lines
+
+
+def test_oracle_refutation_exits_1(monkeypatch, capsys):
+    def wrong(network, graph):
+        return Verdict(ObservabilityType.TYPE_IV, False)
+
+    monkeypatch.setitem(DECIDERS, ObservabilityType.TYPE_IV, wrong)
+    code, out, _ = _sweep(monkeypatch, capsys, "--start-seed", "9", "--seeds", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "seed 9: I=y II=y III=y IV=n",
+        "  oracle IV: horizon 2, observable, DISAGREES",
+    ]
+    assert "implication violations: 0" in lines
+    assert lines[-1] == (
+        "oracle cross-checks: 1 networks, 3 agrees, 1 DISAGREES, 0 inconclusive,"
+        " 0 not conclusive"
+    )
+
+
+def test_implication_sweep_counts_budget_cut_results(monkeypatch, capsys):
+    # a budget of 2 words allows horizon 1 over M = 2 inputs, short of most
+    # conclusive depths: a "not observable" found there that differs from
+    # the verdict refutes nothing, so it is inconclusive, not DISAGREES
+    monkeypatch.setenv("BCNOBS_ENUM_BUDGET", "2")
+    code, out, _ = _sweep(monkeypatch, capsys, "--seeds", "20", "--oracle-every", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert "  oracle II: horizon 1, not observable, inconclusive (horizon not conclusive)" in lines
+    assert lines[-1] == (
+        "oracle cross-checks: 20 networks, 68 agrees, 0 DISAGREES, 12 inconclusive,"
+        " 58 not conclusive"
+    )
+
+
+@pytest.mark.parametrize("value", ["abc", "1"])
+def test_implication_sweep_bad_budget_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("BCNOBS_ENUM_BUDGET", value)
+    code, out, err = _sweep(monkeypatch, capsys, "--seeds", "3")
+    assert code == 2 and out == ""
+    assert "error:" in err and "BCNOBS_ENUM_BUDGET" in err
+    assert "Traceback" not in err
 
 
 def test_implication_sweep_builds_one_graph_per_network(monkeypatch, capsys):
@@ -62,9 +164,6 @@ def test_implication_sweep_builds_one_graph_per_network(monkeypatch, capsys):
 
     monkeypatch.setattr(bcnobs.pairgraph, "build", counting)
     monkeypatch.setattr(bcnobs.observability, "build", counting)
-    monkeypatch.setattr(sys, "argv", ["implication_sweep.py", "--seeds", "20"])
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
-    with pytest.raises(SystemExit) as exited:
-        runpy.run_path(str(SCRIPTS / "implication_sweep.py"), run_name="__main__")
-    assert exited.value.code == 0, capsys.readouterr().out
+    code, out, _ = _sweep(monkeypatch, capsys, "--seeds", "20")
+    assert code == 0, out
     assert len(builds) == 20
