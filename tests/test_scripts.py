@@ -69,6 +69,15 @@ def test_implication_sweep_rejects_bad_arguments(monkeypatch, capsys, args, opti
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("option", ["--n", "--m", "--q"])
+def test_implication_sweep_sizes_out_of_range_are_bad_input(monkeypatch, capsys, option):
+    for value in ("0", "9"):
+        code, out, err = _sweep(monkeypatch, capsys, "--seeds", "1", option, value)
+        assert code == 2 and out == ""
+        assert "error:" in err and f"{option[2:]} must be an int in 1..8" in err
+        assert "Traceback" not in err
+
+
 def test_implication_sweep_seed_lines(monkeypatch, capsys):
     code, out, _ = _sweep(monkeypatch, capsys, "--start-seed", "7", "--seeds", "3")
     assert code == 0
