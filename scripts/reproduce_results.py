@@ -21,7 +21,7 @@ def run_fixture(path):
     document = load_document(path)
     network = document_to_bcn(document)
     graph = build(network)
-    edges = {(p, q) for step in graph.rows for p, q in enumerate(step) if q >= 0}
+    edges = {(p, q) for step in graph.succ.tolist() for p, q in enumerate(step) if q >= 0}
     print(f"== {document.name or path.stem} "
           f"(N={network.n_states}, M={network.n_inputs}, Q={network.n_outputs})")
     print(f"   pair graph: {graph.n_pairs} vertices ({len(graph.nondiagonal)}"

@@ -1,15 +1,16 @@
-"""Boolean control network in algebraic form, with pure simulation steps."""
+"""Boolean control network in algebraic form, with pure simulation steps.
+
+The network knows one column layout only; the document layouts and their
+conversion to it belong to bcnobs.bcnio.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
-
-COLUMN_ORDERS = ("state-first", "input-first")
 
 
-def _check_map(label: str, entries: tuple, count: int, limit: int) -> None:
+def check_map(label: str, entries, count: int, limit: int) -> None:
+    """Raise ValueError unless entries holds count ints in 1..limit."""
     if len(entries) != count:
         raise ValueError(f"{label} has {len(entries)} columns, expected {count}")
     # the bulk check runs in C; only a map it fails is walked, to name the column
@@ -27,8 +28,8 @@ class Bcn:
     packs first variable most significant, so the all-true tuple is index 1.
     States range over 1..n_states, inputs over 1..n_inputs, outputs over
     1..n_outputs; the three sizes are powers of two.  Each map lists the
-    1-based row of each column's single 1.  transition is input-first: the
-    successor of state x under input u is transition[(u-1)*n_states + x-1];
+    1-based row of each column's single 1.  transition runs input by input:
+    the successor of state x under input u is transition[(u-1)*n_states + x-1];
     output_map[x-1] is the output of state x.
     """
 
@@ -45,31 +46,8 @@ class Bcn:
                 raise ValueError(f"{label} must be a power of two, got {value}")
         object.__setattr__(self, "transition", tuple(self.transition))
         object.__setattr__(self, "output_map", tuple(self.output_map))
-        _check_map("transition map", self.transition, self.n_states * self.n_inputs, self.n_states)
-        _check_map("output map", self.output_map, self.n_states, self.n_outputs)
-
-
-def bcn_from_columns(
-    n: int,
-    m: int,
-    q: int,
-    transition_columns: Sequence[int],
-    output_columns: Sequence[int],
-    ordering: str,
-) -> Bcn:
-    """Build a network over n state, m input, q output variables.
-
-    transition_columns lists the 1-based successor indices in the named
-    column ordering.  They are stored input-first: a state-first list is
-    transposed by taking every 2^m-th entry for each input in turn.
-    """
-    if ordering not in COLUMN_ORDERS:
-        raise ValueError(f"unknown column ordering {ordering!r}, expected one of {COLUMN_ORDERS}")
-    n_states, n_inputs, n_outputs = 2 ** n, 2 ** m, 2 ** q
-    columns = tuple(transition_columns)
-    if ordering == "state-first":
-        columns = tuple(chain.from_iterable(columns[u::n_inputs] for u in range(n_inputs)))
-    return Bcn(n_states, n_inputs, n_outputs, columns, output_columns)
+        check_map("transition map", self.transition, self.n_states * self.n_inputs, self.n_states)
+        check_map("output map", self.output_map, self.n_states, self.n_outputs)
 
 
 def _check_state(network: Bcn, state: int) -> None:

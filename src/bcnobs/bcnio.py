@@ -13,7 +13,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .automata import Dfa
-from .bcn import COLUMN_ORDERS, Bcn, bcn_from_columns
+from .bcn import Bcn, check_map
 from .observability import ObservabilityType, Verdict
 from .oracle import OracleVerdict
 from .pairgraph import Pair, PairGraph
@@ -25,6 +25,11 @@ class DocumentError(ValueError):
 
 _TOP_LEVEL_FIELDS = {"name", "n", "m", "q", "ordering", "L", "H", "update", "output"}
 
+# The two layouts of L a matrix document may name; a state-first L puts
+# the successor of state x under input u in column (x-1)*2^m + u, an
+# input-first one in column (u-1)*2^n + x, as Bcn stores it.
+COLUMN_ORDERS = ("state-first", "input-first")
+
 # The most state, input or output variables a document may declare.  Any
 # document that can list its 2^n columns stays far below it; the cap rejects
 # a huge n before 2^n is formed, too large to print or even to hold.
@@ -33,27 +38,20 @@ MAX_DOCUMENT_VARS = 32
 
 @dataclass(frozen=True)
 class BcnDocument:
-    """On-disk description of a network.
+    """A network as read from its document, checked and in delta columns.
 
-    Either the matrix body (ordering, transition_columns, output_columns)
-    or the truth-table body (update_table, output_table) is present, never
-    both.  Table keys are 0/1 strings, '1' meaning true; update keys list
-    the m input bits then the n state bits, update values the n successor
-    bits; output keys list the n state bits, values the q output bits.  A
-    key's column is its bits read in binary with 0 and 1 swapped, plus 1, so
-    the all-true key is column 1 and the update lands input-first; a value
-    maps to its delta index by the same rule.
+    transition and output_map are the maps of Bcn: transition lists the
+    successor of each (input, state) column input-first, output_map the
+    output of each state, all 1-based.  parse_document brings every body to
+    this form; the body a document was written in is not kept.
     """
 
     n: int
     m: int
     q: int
+    transition: tuple[int, ...]
+    output_map: tuple[int, ...]
     name: Optional[str] = None
-    ordering: Optional[str] = None
-    transition_columns: Optional[tuple[int, ...]] = None
-    output_columns: Optional[tuple[int, ...]] = None
-    update_table: Optional[Mapping[str, str]] = None
-    output_table: Optional[Mapping[str, str]] = None
 
 
 def _require_positive_int(raw: dict, field: str) -> int:
@@ -69,35 +67,37 @@ def _column_list(raw: dict, field: str, expected: int, limit: int) -> tuple[int,
     value = raw.get(field)
     if not isinstance(value, list):
         raise DocumentError(f"field {field!r} must be a list of column indices")
-    if len(value) != expected:
-        raise DocumentError(f"field {field!r} has {len(value)} entries, expected {expected}")
-    for entry in value:
-        if not isinstance(entry, int) or isinstance(entry, bool) or not 1 <= entry <= limit:
-            raise DocumentError(f"field {field!r} entry {entry!r} outside 1..{limit}")
+    try:
+        check_map(f"field {field!r}", value, expected, limit)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
     return tuple(value)
 
 
-def _bit_table(raw: dict, field: str, key_width: int, value_width: int) -> dict[str, str]:
-    value = raw.get(field)
-    if not isinstance(value, dict):
+def _table_columns(raw: dict, field: str, key_width: int, value_width: int) -> tuple[int, ...]:
+    """Delta columns of a bit table: flipping every bit of a key or value
+    gives its 0-based delta index, '1' (true) counting as 0.  JSON object
+    keys are unique, so a full count of valid keys fills every column."""
+    table = raw.get(field)
+    if not isinstance(table, dict):
         raise DocumentError(f"field {field!r} must be an object of bit strings")
-    table: dict[str, str] = {}
-    for key, result in value.items():
-        for text, width, what in ((key, key_width, "key"), (result, value_width, "value")):
-            if not isinstance(text, str) or len(text) != width or set(text) - {"0", "1"}:
+    # counted before the columns are formed: a huge width fails here
+    if len(table) != 2 ** key_width:
+        raise DocumentError(f"field {field!r} has {len(table)} rows, expected {2 ** key_width}")
+    key_mask, value_mask = 2 ** key_width - 1, 2 ** value_width - 1
+    columns = [0] * (key_mask + 1)
+    for key, value in table.items():
+        for text, width, what in ((key, key_width, "key"), (value, value_width, "value")):
+            if not isinstance(text, str) or len(text) != width or text.strip("01"):
                 raise DocumentError(
                     f"field {field!r} {what} {text!r} must be a {width}-bit 0/1 string"
                 )
-        table[key] = result
-    if len(table) != 2 ** key_width:
-        raise DocumentError(
-            f"field {field!r} has {len(table)} rows, expected {2 ** key_width}"
-        )
-    return table
+        columns[key_mask ^ int(key, 2)] = (value_mask ^ int(value, 2)) + 1
+    return tuple(columns)
 
 
 def parse_document(text: str) -> BcnDocument:
-    """Parse and validate the JSON document format."""
+    """Parse and validate the JSON document format, in any of its bodies."""
     try:
         raw = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
@@ -129,56 +129,26 @@ def parse_document(text: str) -> BcnDocument:
                 " there is no default"
             )
         n_states, n_inputs, n_outputs = 2 ** n, 2 ** m, 2 ** q
-        return BcnDocument(
-            n=n,
-            m=m,
-            q=q,
-            name=name,
-            ordering=ordering,
-            transition_columns=_column_list(raw, "L", n_states * n_inputs, n_states),
-            output_columns=_column_list(raw, "H", n_states, n_outputs),
-        )
+        transition = _column_list(raw, "L", n_states * n_inputs, n_states)
+        if ordering == "state-first":  # every n_inputs-th column, for each input in turn
+            columns = (transition[u::n_inputs] for u in range(n_inputs))
+            transition = tuple(chain.from_iterable(columns))
+        return BcnDocument(n, m, q, transition, _column_list(raw, "H", n_states, n_outputs), name)
     if has_table:
         if "update" not in raw or "output" not in raw:
             raise DocumentError("truth-table form needs both 'update' and 'output'")
         if "ordering" in raw:
             raise DocumentError("field 'ordering' applies only to the L/H matrix form")
-        return BcnDocument(
-            n=n,
-            m=m,
-            q=q,
-            name=name,
-            update_table=_bit_table(raw, "update", m + n, n),
-            output_table=_bit_table(raw, "output", n, q),
-        )
+        # input bits lead the update keys, so its columns land input-first
+        transition = _table_columns(raw, "update", m + n, n)
+        return BcnDocument(n, m, q, transition, _table_columns(raw, "output", n, q), name)
     raise DocumentError("missing network body: need L/H or update/output")
-
-
-def _table_columns(table: Mapping[str, str], key_width: int, value_width: int) -> tuple[int, ...]:
-    """Delta columns of a bit table: flipping every bit of a key or value
-    gives its 0-based delta index, '1' (true) counting as 0.  A missing
-    row is left 0, which Bcn rejects."""
-    key_mask, value_mask = 2 ** key_width - 1, 2 ** value_width - 1
-    columns = [0] * (key_mask + 1)
-    for key, value in table.items():
-        if len(key) != key_width or len(value) != value_width or (key + value).strip("01"):
-            raise ValueError(
-                f"table row {key!r}: {value!r} is not {key_width} bits to {value_width} bits"
-            )
-        columns[key_mask ^ int(key, 2)] = (value_mask ^ int(value, 2)) + 1
-    return tuple(columns)
 
 
 def document_to_bcn(document: BcnDocument) -> Bcn:
     """Compile a document into the internal algebraic form."""
-    n, m, q = document.n, document.m, document.q
-    if document.transition_columns is not None:
-        return bcn_from_columns(
-            n, m, q, document.transition_columns, document.output_columns, document.ordering
-        )
-    transition = _table_columns(document.update_table, m + n, n)
-    output_map = _table_columns(document.output_table, n, q)
-    return Bcn(2 ** n, 2 ** m, 2 ** q, transition, output_map)
+    n_states, n_inputs, n_outputs = 2 ** document.n, 2 ** document.m, 2 ** document.q
+    return Bcn(n_states, n_inputs, n_outputs, document.transition, document.output_map)
 
 
 def parse_bcn(text: str) -> Bcn:

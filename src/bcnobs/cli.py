@@ -193,10 +193,7 @@ def _claim(path: Optional[str], directory: bool = False) -> None:
 
 def _load(path: str) -> tuple[Bcn, Optional[str]]:
     document = load_document(path)
-    try:
-        return document_to_bcn(document), document.name
-    except ValueError as exc:
-        raise DocumentError(f"{path}: {exc}") from None
+    return document_to_bcn(document), document.name
 
 
 def _cmd_decide(args) -> int:

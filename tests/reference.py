@@ -27,8 +27,11 @@
 - The general compile the library replaced with direct column arithmetic:
   the truth-table compiler over Boolean tuples (from_truth_table,
   bool_tuple_index), the column reorder in both directions
-  (reorder_columns), and the document compile written in them
-  (compile_document).  The tests check document_to_bcn against it.
+  (reorder_columns), and the compile of a document body written in them
+  (compile_document).  The tests check parse_document and document_to_bcn
+  against it.
+- bcn_from_columns, which builds a network from L columns in either
+  layout; only tests build networks that way.
 - The output path the CLI replaced: the DOT renderers that group edges in
   a dict and sort the (source label, target label) strings, and the
   verdict lines spelled one line and one word at a time.  The tests
@@ -41,13 +44,14 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from bcnobs.automata import Dfa, Lasso, Word
-from bcnobs.bcn import COLUMN_ORDERS, Bcn, output, step
-from bcnobs.bcnio import BcnDocument, _label
+from bcnobs.bcn import Bcn, output, step
+from bcnobs.bcnio import COLUMN_ORDERS, BcnDocument, _label
 from bcnobs.observability import AutomatonStat, ObservabilityType, Verdict, type_automata
 from bcnobs.oracle import _enumeration_cost
 from bcnobs.pairgraph import UNREACHED, PairGraph
@@ -577,18 +581,13 @@ def fit_horizon(n_inputs: int, kind: ObservabilityType, horizon: int, budget: in
 
 
 def serialize_document(document: BcnDocument) -> str:
-    """Canonical JSON text; parse_document(serialize_document(d)) == d."""
+    """Canonical JSON text, the input-first matrix body;
+    parse_document(serialize_document(d)) == d."""
     body: dict = {}
     if document.name is not None:
         body["name"] = document.name
-    body.update(n=document.n, m=document.m, q=document.q)
-    if document.transition_columns is not None:
-        body["ordering"] = document.ordering
-        body["L"] = list(document.transition_columns)
-        body["H"] = list(document.output_columns)
-    else:
-        body["update"] = {k: document.update_table[k] for k in sorted(document.update_table)}
-        body["output"] = {k: document.output_table[k] for k in sorted(document.output_table)}
+    body.update(n=document.n, m=document.m, q=document.q, ordering="input-first")
+    body.update(L=list(document.transition), H=list(document.output_map))
     return json.dumps(body, indent=2) + "\n"
 
 
@@ -675,28 +674,48 @@ def _bits_to_bools(text: str) -> tuple[bool, ...]:
     return tuple(ch == "1" for ch in text)
 
 
-def compile_document(document: BcnDocument) -> Bcn:
-    """document_to_bcn through the general converters: the matrix body
-    reordered to input-first, the tables compiled over Boolean tuples with
-    the input bits ahead of the state bits."""
-    n_states, n_inputs, n_outputs = 2 ** document.n, 2 ** document.m, 2 ** document.q
-    if document.transition_columns is not None:
+def compile_document(body: Mapping) -> Bcn:
+    """The network of a document body as written (its loaded JSON object),
+    through the general converters: the matrix body reordered to
+    input-first, the tables compiled over Boolean tuples with the input
+    bits ahead of the state bits."""
+    n_states, n_inputs, n_outputs = 2 ** body["n"], 2 ** body["m"], 2 ** body["q"]
+    if "L" in body:
         transition = reorder_columns(
-            LogicalMatrix(n_states, document.transition_columns),
-            n_states, n_inputs, document.ordering, "input-first",
+            LogicalMatrix(n_states, tuple(body["L"])),
+            n_states, n_inputs, body["ordering"], "input-first",
         )
-        return Bcn(n_states, n_inputs, n_outputs, transition.col_index, document.output_columns)
-    update = {
-        _bits_to_bools(key): _bits_to_bools(value)
-        for key, value in document.update_table.items()
-    }
-    out_table = {
-        _bits_to_bools(key): _bits_to_bools(value)
-        for key, value in document.output_table.items()
-    }
-    transition = from_truth_table(document.m + document.n, document.n, update)
-    output_map = from_truth_table(document.n, document.q, out_table)
+        return Bcn(n_states, n_inputs, n_outputs, transition.col_index, body["H"])
+    update, out_table = (
+        {_bits_to_bools(key): _bits_to_bools(value) for key, value in body[field].items()}
+        for field in ("update", "output")
+    )
+    transition = from_truth_table(body["m"] + body["n"], body["n"], update)
+    output_map = from_truth_table(body["n"], body["q"], out_table)
     return Bcn(n_states, n_inputs, n_outputs, transition.col_index, output_map.col_index)
+
+
+def bcn_from_columns(
+    n: int,
+    m: int,
+    q: int,
+    transition_columns: Sequence[int],
+    output_columns: Sequence[int],
+    ordering: str,
+) -> Bcn:
+    """Build a network over n state, m input, q output variables.
+
+    transition_columns lists the 1-based successor indices in the named
+    column ordering.  They are stored input-first: a state-first list is
+    transposed by taking every 2^m-th entry for each input in turn.
+    """
+    if ordering not in COLUMN_ORDERS:
+        raise ValueError(f"unknown column ordering {ordering!r}, expected one of {COLUMN_ORDERS}")
+    n_states, n_inputs, n_outputs = 2 ** n, 2 ** m, 2 ** q
+    columns = tuple(transition_columns)
+    if ordering == "state-first":
+        columns = tuple(chain.from_iterable(columns[u::n_inputs] for u in range(n_inputs)))
+    return Bcn(n_states, n_inputs, n_outputs, columns, output_columns)
 
 
 def _grouped_edge_lines(rows: list[tuple[str, int, str]]) -> list[str]:

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bcnobs.automata import Lasso, find_lasso, least_hole
-from bcnobs.bcn import bcn_from_columns
 from bcnobs.bcnio import gen_random_bcn
 from bcnobs.pairgraph import build
 
 import reference
 from conftest import golden_text
 from pairviews import PairVertex, ids, non_diagonal_vertices, subset_automaton, vertex_automaton
-from reference import accepts, shortest_undefined_word
+from reference import accepts, bcn_from_columns, shortest_undefined_word
 
 
 def v(a, b):

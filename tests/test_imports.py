@@ -4,6 +4,8 @@ The oracle's brute force is an independent check on the deciders only as
 long as it shares none of their machinery, so it may read the network and
 the type names and nothing else.  The cross-check against it lives in one
 place, bcnobs.cli.cross_check, which the scripts call rather than repeat.
+The column layouts of a document's L are known to the document parser in
+bcnobs.bcnio alone; every other module sees the one layout Bcn stores.
 """
 
 import ast
@@ -50,6 +52,25 @@ def test_no_module_imports_stp():
     for path in modules:
         for module, names in package_imports(path):
             assert module != "bcnobs.stp" and not (module == "bcnobs" and "stp" in names), path
+
+
+def test_column_orderings_stay_in_the_document_parser():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "bcnio.py" in modules
+    for path in modules:
+        if path.name != "bcnio.py":
+            text = path.read_text(encoding="utf-8")
+            assert "state-first" not in text and "input-first" not in text, path
+    tree = ast.parse((PACKAGE / "bcn.py").read_text(encoding="utf-8"))
+    defined = {
+        node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    defined |= {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert "Bcn" in defined and not defined & {"COLUMN_ORDERS", "bcn_from_columns"}
 
 
 def test_scripts_leave_the_oracle_to_the_cli():

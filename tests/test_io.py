@@ -1,10 +1,12 @@
 import json
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bcnobs.bcn import bcn_from_columns, output, step
+from bcnobs.bcn import output, step
 from bcnobs.bcnio import (
     BcnDocument,
     DocumentError,
@@ -16,6 +18,7 @@ from bcnobs.bcnio import (
     parse_bcn,
     parse_document,
 )
+from bcnobs.cli import run_cli
 from bcnobs.observability import DECIDERS, ObservabilityType
 from bcnobs.oracle import brute_force
 from bcnobs.pairgraph import build
@@ -23,11 +26,50 @@ from bcnobs.pairgraph import build
 from conftest import fixture_path, golden_text
 from dotcheck import dot_structure, validate_dot
 from pairviews import PairVertex, automaton_dot, non_diagonal_vertices
-from reference import compile_document, index_to_bool_tuple, serialize_document
+from reference import bcn_from_columns, compile_document, index_to_bool_tuple, serialize_document
 
 
 def v(a, b):
     return PairVertex(a, b)
+
+
+MATRIX_DOCUMENT = {
+    "n": 2, "m": 1, "q": 1, "ordering": "state-first",
+    "L": [1, 1, 2, 1, 2, 4, 1, 1], "H": [1, 2, 2, 2],
+}
+DOCUMENT_ERRORS = [
+    (lambda d: d.pop("ordering"), "ordering"),
+    (lambda d: d.update(ordering="columnwise"), "ordering"),
+    (lambda d: d.pop("n"), "positive integer"),
+    (lambda d: d.update(n=0), "positive integer"),
+    (lambda d: d.update(n=True), "positive integer"),
+    (lambda d: d.pop("H"), "both 'L' and 'H'"),
+    (lambda d: d.update(L=[1, 1, 2, 1]), "columns"),
+    (lambda d: d.update(L=[1, 1, 2, 1, 2, 9, 1, 1]), "not an int in"),
+    (lambda d: d.update(H=[1, 2, 2, True]), "not an int in"),
+    (lambda d: d.update(extra=1), "unknown fields"),
+    (lambda d: d.update(name=7), "name"),
+    (lambda d: d.update(update={}), "not both"),
+]
+TABLE_DOCUMENT = {
+    "n": 1, "m": 1, "q": 1,
+    "update": {"11": "1", "10": "0", "01": "0", "00": "1"},
+    "output": {"1": "1", "0": "0"},
+}
+TABLE_ERRORS = [
+    (lambda d: d["update"].pop("11"), "rows"),
+    (lambda d: d["update"].update({"111": d["update"].pop("11")}), "bit"),
+    (lambda d: d["update"].update({"11": "11"}), "bit"),
+    (lambda d: d["update"].update({"1a": d["update"].pop("11")}), "bit"),
+    (lambda d: d.pop("output"), "both 'update' and 'output'"),
+    (lambda d: d.update(ordering="state-first"), "matrix form"),
+]
+
+
+def _mutated(document, mutate):
+    document = json.loads(json.dumps(document))
+    mutate(document)
+    return json.dumps(document)
 
 
 class TestParsing:
@@ -35,7 +77,9 @@ class TestParsing:
         document = load_document(fixture_path("bcn5"))
         assert document.name == "bcn5"
         assert (document.n, document.m, document.q) == (2, 1, 1)
-        assert document.ordering == "state-first"
+        # the state-first L of the file, held input-first
+        assert document.transition == (1, 2, 2, 1, 1, 1, 4, 1)
+        assert document.output_map == (1, 2, 2, 2)
         network = document_to_bcn(document)
         assert step(network, 3, 2) == 4
         assert output(network, 3) == 2
@@ -51,28 +95,10 @@ class TestParsing:
         }))
         assert state_first == input_first
 
-    @pytest.mark.parametrize("mutate,match", [
-        (lambda d: d.pop("ordering"), "ordering"),
-        (lambda d: d.update(ordering="columnwise"), "ordering"),
-        (lambda d: d.pop("n"), "positive integer"),
-        (lambda d: d.update(n=0), "positive integer"),
-        (lambda d: d.update(n=True), "positive integer"),
-        (lambda d: d.pop("H"), "both 'L' and 'H'"),
-        (lambda d: d.update(L=[1, 1, 2, 1]), "entries"),
-        (lambda d: d.update(L=[1, 1, 2, 1, 2, 9, 1, 1]), "outside"),
-        (lambda d: d.update(H=[1, 2, 2, True]), "outside"),
-        (lambda d: d.update(extra=1), "unknown fields"),
-        (lambda d: d.update(name=7), "name"),
-        (lambda d: d.update(update={}), "not both"),
-    ])
+    @pytest.mark.parametrize("mutate,match", DOCUMENT_ERRORS)
     def test_document_errors(self, mutate, match):
-        document = {
-            "n": 2, "m": 1, "q": 1, "ordering": "state-first",
-            "L": [1, 1, 2, 1, 2, 4, 1, 1], "H": [1, 2, 2, 2],
-        }
-        mutate(document)
         with pytest.raises(DocumentError, match=match):
-            parse_document(json.dumps(document))
+            parse_document(_mutated(MATRIX_DOCUMENT, mutate))
 
     def test_rejects_non_json_and_non_object(self):
         with pytest.raises(DocumentError, match="JSON"):
@@ -106,11 +132,7 @@ def _tables_from(network, n, m, q):
 
 class TestTruthTableForm:
     def test_handwritten_xnor(self):
-        network = parse_bcn(json.dumps({
-            "n": 1, "m": 1, "q": 1,
-            "update": {"11": "1", "10": "0", "01": "0", "00": "1"},
-            "output": {"1": "1", "0": "0"},
-        }))
+        network = parse_bcn(json.dumps(TABLE_DOCUMENT))
         assert network.transition == (1, 2, 2, 1)
         assert network.output_map == (1, 2)
 
@@ -121,23 +143,10 @@ class TestTruthTableForm:
         ))
         assert network == bcn5
 
-    @pytest.mark.parametrize("mutate,match", [
-        (lambda d: d["update"].pop("11"), "rows"),
-        (lambda d: d["update"].update({"111": "1"}), "bit"),
-        (lambda d: d["update"].update({"11": "11"}), "bit"),
-        (lambda d: d.pop("output"), "both 'update' and 'output'"),
-        (lambda d: d.update(ordering="state-first"), "matrix form"),
-    ])
+    @pytest.mark.parametrize("mutate,match", TABLE_ERRORS)
     def test_table_errors(self, mutate, match):
-        document = {
-            "n": 1, "m": 1, "q": 1,
-            "update": {"11": "1", "10": "0", "01": "0", "00": "1"},
-            "output": {"1": "1", "0": "0"},
-        }
-        mutate(document)
         with pytest.raises(DocumentError, match=match):
-            parse_document(json.dumps(document))
-
+            parse_document(_mutated(TABLE_DOCUMENT, mutate))
 
     @pytest.mark.parametrize("update,output_table", [
         ({"11": "1", "10": "0", "01": "0", "0": "1"}, {"1": "1", "0": "0"}),
@@ -147,19 +156,51 @@ class TestTruthTableForm:
         ({"11": "1", "10": "0", "01": "0", "00": "1"}, {"1": "1", "0": "+"}),
     ])
     def test_compile_rejects_malformed_rows(self, update, output_table):
-        # parse_document checks the widths; a hand-built document is
-        # checked again where its bits are read
-        document = BcnDocument(n=1, m=1, q=1, update_table=update, output_table=output_table)
-        with pytest.raises(ValueError, match="is not [12] bits to [12] bits"):
-            document_to_bcn(document)
+        text = json.dumps({"n": 1, "m": 1, "q": 1, "update": update, "output": output_table})
+        with pytest.raises(DocumentError, match="must be a [12]-bit 0/1 string"):
+            parse_document(text)
 
     def test_compile_rejects_missing_row(self):
-        document = BcnDocument(
-            n=1, m=1, q=1,
-            update_table={"11": "1", "10": "0", "01": "0"}, output_table={"1": "1", "0": "0"},
-        )
+        text = json.dumps({
+            "n": 1, "m": 1, "q": 1,
+            "update": {"11": "1", "10": "0", "01": "0"}, "output": {"1": "1", "0": "0"},
+        })
+        with pytest.raises(DocumentError, match="'update' has 3 rows, expected 4"):
+            parse_document(text)
+
+    def test_hand_built_document_is_checked_at_compile(self):
+        document = BcnDocument(n=1, m=1, q=1, transition=(1, 2, 2, 0), output_map=(1, 2))
         with pytest.raises(ValueError, match="transition map column 4 is 0"):
             document_to_bcn(document)
+
+
+class TestRejectionThroughCli:
+    """Every rejected document is bad input to the commands that read one."""
+
+    @pytest.mark.parametrize("command", ["decide", "graph"])
+    @pytest.mark.parametrize(
+        "document,mutate,match",
+        [(MATRIX_DOCUMENT, *case) for case in DOCUMENT_ERRORS]
+        + [(TABLE_DOCUMENT, *case) for case in TABLE_ERRORS],
+    )
+    def test_exits_2_naming_the_field(self, capsys, tmp_path, command, document, mutate, match):
+        bad = tmp_path / "bad.json"
+        bad.write_text(_mutated(document, mutate))
+        assert run_cli([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert re.search(match, err)
+
+    @pytest.mark.parametrize("command", ["decide", "graph"])
+    def test_row_count_checked_before_columns(self, capsys, tmp_path, command):
+        # 2^64 update columns: only a count taken before any list is formed finishes
+        bad = tmp_path / "wide.json"
+        bad.write_text(json.dumps({**TABLE_DOCUMENT, "n": 32, "m": 32}))
+        started = time.perf_counter()
+        assert run_cli([command, str(bad)]) == 2
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'update' has 4 rows" in err
 
 
 class TestRoundTrip:
@@ -169,7 +210,9 @@ class TestRoundTrip:
 
     def test_table_document(self, bcn7):
         update, out = _tables_from(bcn7, 2, 1, 1)
-        document = BcnDocument(n=2, m=1, q=1, name="tabled", update_table=update, output_table=out)
+        document = parse_document(json.dumps(
+            {"name": "tabled", "n": 2, "m": 1, "q": 1, "update": update, "output": out}
+        ))
         recovered = parse_document(serialize_document(document))
         assert recovered == document
         assert document_to_bcn(recovered) == bcn7
@@ -177,49 +220,43 @@ class TestRoundTrip:
     @given(st.integers(0, 2 ** 32))
     def test_generated_documents(self, seed):
         network = gen_random_bcn(seed, 2, 1, 1)
-        document = BcnDocument(
-            n=2, m=1, q=1,
-            ordering="input-first",
-            transition_columns=network.transition,
-            output_columns=network.output_map,
-        )
+        document = BcnDocument(2, 1, 1, network.transition, network.output_map)
         recovered = parse_document(serialize_document(document))
         assert recovered == document
         assert document_to_bcn(recovered) == network
 
 
 def _three_bodies(network, n, m, q):
-    """The network as state-first, input-first and truth-table documents,
-    each read back from its JSON text."""
-    state_first = tuple(
+    """The network as state-first, input-first and truth-table document texts."""
+    state_first = [
         step(network, state, control)
         for state in range(1, network.n_states + 1)
         for control in range(1, network.n_inputs + 1)
-    )
-    update, out = _tables_from(network, n, m, q)
-    h = network.output_map
-    documents = [
-        BcnDocument(n=n, m=m, q=q, ordering="state-first",
-                    transition_columns=state_first, output_columns=h),
-        BcnDocument(n=n, m=m, q=q, ordering="input-first",
-                    transition_columns=network.transition, output_columns=h),
-        BcnDocument(n=n, m=m, q=q, update_table=update, output_table=out),
     ]
-    return [parse_document(serialize_document(document)) for document in documents]
+    update, out = _tables_from(network, n, m, q)
+    h = list(network.output_map)
+    bodies = [
+        {"ordering": "state-first", "L": state_first, "H": h},
+        {"ordering": "input-first", "L": list(network.transition), "H": h},
+        {"update": update, "output": out},
+    ]
+    return [json.dumps({"n": n, "m": m, "q": q, **body}) for body in bodies]
 
 
 def _assert_compiles_as_reference(network, n, m, q):
-    for document in _three_bodies(network, n, m, q):
-        assert document_to_bcn(document) == compile_document(document) == network
+    for text in _three_bodies(network, n, m, q):
+        assert document_to_bcn(parse_document(text)) == compile_document(json.loads(text)) == network
 
 
 class TestCompileAgainstReference:
-    """document_to_bcn against the general converters it replaced."""
+    """parse_document and document_to_bcn against the general converters
+    they replaced."""
 
     @pytest.mark.parametrize("name", ["bcn5", "bcn6", "bcn7"])
     def test_fixtures(self, name):
-        document = load_document(fixture_path(name))
-        network = compile_document(document)
+        path = fixture_path(name)
+        document = load_document(path)
+        network = compile_document(json.loads(path.read_text()))
         assert document_to_bcn(document) == network
         _assert_compiles_as_reference(network, document.n, document.m, document.q)
 

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 import bcnobs.observability
 from bcnobs.automata import Lasso
-from bcnobs.bcn import bcn_from_columns
 from bcnobs.bcnio import gen_random_bcn
 from bcnobs.observability import (
     DECIDERS,
@@ -20,6 +19,7 @@ from bcnobs.observability import (
 from bcnobs.pairgraph import build
 
 from pairviews import PairVertex
+from reference import bcn_from_columns
 
 T_I = ObservabilityType.TYPE_I
 T_II = ObservabilityType.TYPE_II

@@ -4,7 +4,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bcnobs.bcn import bcn_from_columns
 from bcnobs.bcnio import gen_random_bcn
 from bcnobs.observability import DECIDERS, ObservabilityType, exact_oracle_horizon
 from bcnobs.oracle import (
@@ -18,6 +17,7 @@ from bcnobs.oracle import (
 from bcnobs.pairgraph import build
 
 import reference
+from reference import bcn_from_columns
 
 T_I = ObservabilityType.TYPE_I
 T_II = ObservabilityType.TYPE_II

@@ -4,7 +4,6 @@ import itertools
 
 from hypothesis import assume, given, settings, strategies as st
 
-from bcnobs.bcn import bcn_from_columns
 from bcnobs.automata import least_hole
 from bcnobs.bcnio import emit_dot
 from bcnobs.observability import (
@@ -18,7 +17,7 @@ from bcnobs.pairgraph import build
 
 from dotcheck import validate_dot
 from pairviews import automaton_dot, ids, non_diagonal_vertices, subset_automaton, vertex_automaton
-from reference import accepts
+from reference import accepts, bcn_from_columns
 
 
 @st.composite

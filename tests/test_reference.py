@@ -6,7 +6,6 @@ import random
 import pytest
 
 from bcnobs.automata import least_hole, subset_automaton_ids
-from bcnobs.bcn import bcn_from_columns
 from bcnobs.bcnio import build_report, gen_random_bcn
 from bcnobs.observability import (
     DECIDERS,
@@ -21,7 +20,7 @@ from bcnobs.pairgraph import build
 
 import reference
 from pairviews import PairVertex, as_vertices, pair_vertices
-from reference import make_pair, pair_successor, reachable_subgraph
+from reference import bcn_from_columns, make_pair, pair_successor, reachable_subgraph
 
 
 T_I, T_II, T_III, T_IV = ObservabilityType
