@@ -1,4 +1,4 @@
-"""Boolean control network in algebraic form, with pure simulation steps.
+"""Boolean control network in algebraic form: the two maps as int tuples.
 
 The network knows one column layout only; the document layouts and their
 conversion to it belong to bcnobs.bcnio.
@@ -49,21 +49,3 @@ class Bcn:
         check_map("transition map", self.transition, self.n_states * self.n_inputs, self.n_states)
         check_map("output map", self.output_map, self.n_states, self.n_outputs)
 
-
-def _check_state(network: Bcn, state: int) -> None:
-    if not 1 <= state <= network.n_states:
-        raise ValueError(f"state {state} outside 1..{network.n_states}")
-
-
-def step(network: Bcn, state: int, control: int) -> int:
-    """Successor state index after driving one input symbol."""
-    _check_state(network, state)
-    if not 1 <= control <= network.n_inputs:
-        raise ValueError(f"input {control} outside 1..{network.n_inputs}")
-    return network.transition[(control - 1) * network.n_states + state - 1]
-
-
-def output(network: Bcn, state: int) -> int:
-    """Output index emitted at a state."""
-    _check_state(network, state)
-    return network.output_map[state - 1]

@@ -2,51 +2,73 @@
 
 Everything here works by direct simulation and word enumeration; none of
 the pair-graph or automaton machinery is used, so agreement between the two
-sides is meaningful evidence.
+sides is meaningful evidence.  One pair step, _unseparated, serves both
+brute force, which walks the tree of input words with it, and witness replay.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .bcn import Bcn, output, step
+from .bcn import Bcn
 from .observability import ObservabilityType
 
 Word = tuple[int, ...]
+Entry = tuple[int, int, int]  # (id, a, b): a pair's id and its two current states
 
 DEFAULT_BUDGET = 2 ** 20
 
 
-def distinguishes(network: Bcn, first: int, second: int, word: Sequence[int]) -> bool:
-    """True when the input word tells the two start states apart.
-
-    The immediate outputs are compared first, so an empty word checks just
-    those; otherwise the two states are stepped in parallel and compared
-    after every letter.
-    """
-    if first == second:
-        raise ValueError("states must differ")
-    if output(network, first) != output(network, second):
-        return True
-    a, b = first, second
-    for control in word:
-        a = step(network, a, control)
-        b = step(network, b, control)
-        if output(network, a) != output(network, b):
-            return True
-    return False
-
-
 def confusable_pairs(network: Bcn) -> tuple[tuple[int, int], ...]:
     """Ordered pairs (a, b), a < b, of distinct states with equal output."""
-    return tuple(
-        (a, b)
-        for a in range(1, network.n_states + 1)
-        for b in range(a + 1, network.n_states + 1)
-        if output(network, a) == output(network, b)
-    )
+    classes: dict[int, list[int]] = {}
+    for state, value in enumerate(network.output_map, 1):
+        classes.setdefault(value, []).append(state)
+    return tuple(sorted(
+        pair for members in classes.values() for pair in itertools.combinations(members, 2)
+    ))
+
+
+def _unseparated(network: Bcn, entries: list[Entry], word: Sequence[int]) -> list[Entry]:
+    """The entries whose two states, sharing an output at the start, share
+    one after every letter of the word, each holding the states the word
+    leads to.
+
+    Every letter is range-checked, those after no entry is left included.
+    The states index the maps directly, so they must lie in 1..n_states.
+    """
+    n, m, trans, out = network.n_states, network.n_inputs, network.transition, network.output_map
+    for control in word:
+        if not 1 <= control <= m:
+            raise ValueError(f"input {control!r} outside 1..{m}")
+        if entries:
+            base = (control - 1) * n - 1
+            kept = []
+            for i, a, b in entries:
+                x, y = trans[base + a], trans[base + b]
+                if out[x - 1] == out[y - 1]:
+                    kept.append((i, x, y))
+            entries = kept
+    return entries
+
+
+def _leaves(network: Bcn, pairs: list[Entry], length: int) -> Iterator[list[Entry]]:
+    """The survivors of each word of the given length, depth-first in
+    lexicographic order.  A prefix that leaves no survivor is one leaf
+    standing for all its extensions: a separated pair stays separated.
+    Each child is stepped from its parent when it is reached, on a stack
+    rather than the call stack: the caller's length may pass Python's
+    recursion limit."""
+    stack = [(pairs, None, length)]
+    while stack:
+        parent, control, depth = stack.pop()
+        entries = parent if control is None else _unseparated(network, parent, (control,))
+        if depth == 0 or not entries:
+            yield entries
+        else:
+            stack.extend((entries, u, depth - 1) for u in range(network.n_inputs, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -96,15 +118,6 @@ def _fit_horizon(n_inputs: int, kind: ObservabilityType, horizon: int, budget: i
     return fitted
 
 
-def _words(n_inputs: int, length: int):
-    return itertools.product(range(1, n_inputs + 1), repeat=length)
-
-
-def _words_up_to(n_inputs: int, horizon: int):
-    for length in range(1, horizon + 1):
-        yield from _words(n_inputs, length)
-
-
 def brute_force(
     network: Bcn,
     kind: ObservabilityType,
@@ -125,37 +138,29 @@ def brute_force(
         raise ValueError("horizon must be at least 1")
     searched = _fit_horizon(network.n_inputs, kind, horizon, budget)
     pairs = confusable_pairs(network)
+    entries = [(i, a, b) for i, (a, b) in enumerate(pairs)]
+    lengths = [searched] if kind is ObservabilityType.TYPE_IV else range(1, searched + 1)
+    leaves = (leaf for length in lengths for leaf in _leaves(network, entries, length))
 
-    if kind is ObservabilityType.TYPE_I:
-        observable = all(
-            _state_determinable(network, state, searched)
-            for state in range(1, network.n_states + 1)
-        )
-    elif kind is ObservabilityType.TYPE_II:
-        observable = all(
-            any(
-                distinguishes(network, a, b, word)
-                for word in _words_up_to(network.n_inputs, searched)
-            )
-            for a, b in pairs
-        )
-    elif kind is ObservabilityType.TYPE_III:
-        observable = any(
-            all(distinguishes(network, a, b, word) for a, b in pairs)
-            for word in _words_up_to(network.n_inputs, searched)
-        )
+    if kind is ObservabilityType.TYPE_III:
+        observable = not all(leaves)
     elif kind is ObservabilityType.TYPE_IV:
-        observable = all(
-            distinguishes(network, a, b, word)
-            for word in _words(network.n_inputs, searched)
-            for a, b in pairs
-        )
+        observable = not any(leaves)
+    elif kind in (ObservabilityType.TYPE_I, ObservabilityType.TYPE_II):
+        left = None  # the pair ids (TYPE_I: their states) no leaf so far separates
+        for leaf in leaves:
+            held = {i for i, _, _ in leaf}
+            if kind is ObservabilityType.TYPE_I:
+                held = {state for i in held for state in pairs[i]}
+            left = held if left is None else left & held
+            if not left:
+                break
+        observable = not left
     else:
         raise ValueError(f"unknown observability type {kind!r}")
 
     if kind is ObservabilityType.TYPE_II:
-        classes = {output(network, x) for x in range(1, network.n_states + 1)}
-        exact = searched >= network.n_states - len(classes)
+        exact = searched >= network.n_states - len(set(network.output_map))
     elif kind is ObservabilityType.TYPE_IV:
         exact = searched >= len(pairs)
     else:
@@ -169,23 +174,6 @@ def brute_force(
     )
 
 
-def _rivals(network: Bcn, state: int) -> list[int]:
-    """The states other than the given one sharing its output."""
-    return [
-        x
-        for x in range(1, network.n_states + 1)
-        if x != state and output(network, x) == output(network, state)
-    ]
-
-
-def _state_determinable(network: Bcn, state: int, horizon: int) -> bool:
-    rivals = _rivals(network, state)  # none: the first word settles the state
-    return any(
-        all(distinguishes(network, state, rival, word) for rival in rivals)
-        for word in _words_up_to(network.n_inputs, horizon)
-    )
-
-
 def verify_witness(network: Bcn, kind: ObservabilityType, witness) -> bool:
     """Check a decider-produced witness by direct simulation.
 
@@ -194,44 +182,31 @@ def verify_witness(network: Bcn, kind: ObservabilityType, witness) -> bool:
     when the pair stays output-identical along prefix plus cycle and the
     cycle brings it back to the unordered pair it reached after the prefix:
     the dynamics being deterministic, the pair then repeats the cycle
-    forever without separating.  Malformed payloads raise ValueError.
+    forever without separating.  Malformed payloads raise ValueError: a
+    state outside 1..n_states, a letter outside 1..n_inputs, a pair that is
+    not two distinct states sharing an output, an empty word or cycle.
     """
     if kind is ObservabilityType.TYPE_I:
         state, word = _as_pairload(witness, "TYPE_I witness is (state, word)")
-        word = _as_word(word)
-        if not isinstance(state, int) or isinstance(state, bool):
-            raise ValueError("TYPE_I witness state must be an int")
-        return all(distinguishes(network, state, rival, word) for rival in _rivals(network, state))
+        _check_state(network, state)
+        out = network.output_map
+        rivals = [(0, state, x) for x, y in enumerate(out, 1) if y == out[state - 1] and x != state]
+        return not _unseparated(network, rivals, _as_word(word))
     if kind is ObservabilityType.TYPE_II:
         pair, word = _as_pairload(witness, "TYPE_II witness is ((a, b), word)")
-        a, b = _as_state_pair(pair)
-        return distinguishes(network, a, b, _as_word(word))
+        return not _unseparated(network, [_as_entry(network, pair)], _as_word(word))
     if kind is ObservabilityType.TYPE_III:
-        word = _as_word(witness)
-        return all(
-            distinguishes(network, a, b, word) for a, b in confusable_pairs(network)
-        )
+        pairs = [(0, a, b) for a, b in confusable_pairs(network)]
+        return not _unseparated(network, pairs, _as_word(witness))
     if kind is ObservabilityType.TYPE_IV:
         try:
             pair, prefix, cycle = witness
         except (TypeError, ValueError):
             raise ValueError("TYPE_IV witness is ((a, b), prefix, cycle)") from None
-        a, b = _as_state_pair(pair)
-        prefix = tuple(prefix)
-        cycle = tuple(cycle)
-        if not cycle:
-            raise ValueError("TYPE_IV witness cycle must be nonempty")
-        if distinguishes(network, a, b, prefix + cycle):
-            return False
-        start = {_run(network, a, prefix), _run(network, b, prefix)}
-        return start == {_run(network, x, cycle) for x in start}
+        start = _unseparated(network, [_as_entry(network, pair)], prefix)
+        end = _unseparated(network, start, _as_word(cycle))
+        return bool(end) and set(end[0][1:]) == set(start[0][1:])
     raise ValueError(f"unknown observability type {kind!r}")
-
-
-def _run(network: Bcn, state: int, word: Sequence[int]) -> int:
-    for control in word:
-        state = step(network, state, control)
-    return state
 
 
 def _as_pairload(witness, message: str) -> tuple:
@@ -252,11 +227,21 @@ def _as_word(word) -> Word:
     return out
 
 
-def _as_state_pair(pair) -> tuple[int, int]:
+def _check_state(network: Bcn, state) -> None:
+    if type(state) is not int or not 1 <= state <= network.n_states:
+        raise ValueError(f"witness state {state!r} is not an int in 1..{network.n_states}")
+
+
+def _as_entry(network: Bcn, pair) -> Entry:
+    """The witness pair as an entry: two distinct states sharing an output."""
     try:
         a, b = pair
     except (TypeError, ValueError):
         raise ValueError("witness pair must hold two states") from None
+    _check_state(network, a)
+    _check_state(network, b)
     if a == b:
         raise ValueError("witness pair must hold two distinct states")
-    return a, b
+    if network.output_map[a - 1] != network.output_map[b - 1]:
+        raise ValueError(f"witness pair {pair!r} does not share an output")
+    return 0, a, b

@@ -17,6 +17,12 @@
   logical matrices, the independent check that the algebraic form is
   right, with the identity and delta constructors, the dense round trip
   and the inverse of bool_tuple_index that the checks are written in.
+- The oracle's old code: the range-checked one-state step and output,
+  distinguishes, the word lists (words, words_up_to), confusable_pairs by
+  comparing every two states, brute_force as one loop per kind that
+  simulates every word from its first letter for every pair, and the
+  scalar replay of well-formed witnesses (verify_witness).  The tests
+  compare the word-tree walk and the checked replay against them.
 - Word runs on networks (trajectory) and on automata (accepts).
 - The walks over a finished machine (is_complete, shortest_undefined_word),
   which the library's hole search, automata.least_hole, replaced and is
@@ -44,16 +50,16 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from bcnobs.automata import Dfa, Lasso, Word
-from bcnobs.bcn import Bcn, output, step
+from bcnobs.bcn import Bcn
 from bcnobs.bcnio import COLUMN_ORDERS, BcnDocument, _label
 from bcnobs.observability import AutomatonStat, ObservabilityType, Verdict, type_automata
-from bcnobs.oracle import _enumeration_cost
+from bcnobs.oracle import DEFAULT_BUDGET, OracleVerdict, _enumeration_cost, _fit_horizon
 from bcnobs.pairgraph import UNREACHED, PairGraph
 
 from pairviews import PairVertex
@@ -529,6 +535,163 @@ def swap_matrix(m: int, n: int) -> LogicalMatrix:
         for j in range(1, n + 1):
             idx[(i - 1) * n + (j - 1)] = (j - 1) * m + i
     return LogicalMatrix(m * n, tuple(idx))
+
+
+def _check_state(network: Bcn, state: int) -> None:
+    if not 1 <= state <= network.n_states:
+        raise ValueError(f"state {state} outside 1..{network.n_states}")
+
+
+def step(network: Bcn, state: int, control: int) -> int:
+    """Successor state index after driving one input symbol."""
+    _check_state(network, state)
+    if not 1 <= control <= network.n_inputs:
+        raise ValueError(f"input {control} outside 1..{network.n_inputs}")
+    return network.transition[(control - 1) * network.n_states + state - 1]
+
+
+def output(network: Bcn, state: int) -> int:
+    """Output index emitted at a state."""
+    _check_state(network, state)
+    return network.output_map[state - 1]
+
+
+def distinguishes(network: Bcn, first: int, second: int, word: Sequence[int]) -> bool:
+    """True when the input word tells the two start states apart.
+
+    The immediate outputs are compared first, so an empty word checks just
+    those; otherwise the two states are stepped in parallel and compared
+    after every letter.
+    """
+    if first == second:
+        raise ValueError("states must differ")
+    if output(network, first) != output(network, second):
+        return True
+    a, b = first, second
+    for control in word:
+        a = step(network, a, control)
+        b = step(network, b, control)
+        if output(network, a) != output(network, b):
+            return True
+    return False
+
+
+def confusable_pairs(network: Bcn) -> tuple[tuple[int, int], ...]:
+    """Ordered pairs (a, b), a < b, of distinct states with equal output,
+    by comparing the outputs of every two states."""
+    return tuple(
+        (a, b)
+        for a in range(1, network.n_states + 1)
+        for b in range(a + 1, network.n_states + 1)
+        if output(network, a) == output(network, b)
+    )
+
+
+def words(n_inputs: int, length: int):
+    return product(range(1, n_inputs + 1), repeat=length)
+
+
+def words_up_to(n_inputs: int, horizon: int):
+    for length in range(1, horizon + 1):
+        yield from words(n_inputs, length)
+
+
+def _rivals(network: Bcn, state: int) -> list[int]:
+    """The states other than the given one sharing its output."""
+    return [
+        x
+        for x in range(1, network.n_states + 1)
+        if x != state and output(network, x) == output(network, state)
+    ]
+
+
+def _state_determinable(network: Bcn, state: int, horizon: int) -> bool:
+    rivals = _rivals(network, state)  # none: the first word settles the state
+    return any(
+        all(distinguishes(network, state, rival, word) for rival in rivals)
+        for word in words_up_to(network.n_inputs, horizon)
+    )
+
+
+def brute_force(
+    network: Bcn,
+    kind: ObservabilityType,
+    horizon: int,
+    budget: int = DEFAULT_BUDGET,
+    sufficient_horizon: Optional[int] = None,
+) -> OracleVerdict:
+    """The oracle's search by one loop per kind, each word simulated from
+    its first letter for every pair."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    searched = _fit_horizon(network.n_inputs, kind, horizon, budget)
+    pairs = confusable_pairs(network)
+
+    if kind is ObservabilityType.TYPE_I:
+        observable = all(
+            _state_determinable(network, state, searched)
+            for state in range(1, network.n_states + 1)
+        )
+    elif kind is ObservabilityType.TYPE_II:
+        observable = all(
+            any(
+                distinguishes(network, a, b, word)
+                for word in words_up_to(network.n_inputs, searched)
+            )
+            for a, b in pairs
+        )
+    elif kind is ObservabilityType.TYPE_III:
+        observable = any(
+            all(distinguishes(network, a, b, word) for a, b in pairs)
+            for word in words_up_to(network.n_inputs, searched)
+        )
+    elif kind is ObservabilityType.TYPE_IV:
+        observable = all(
+            distinguishes(network, a, b, word)
+            for word in words(network.n_inputs, searched)
+            for a, b in pairs
+        )
+    else:
+        raise ValueError(f"unknown observability type {kind!r}")
+
+    if kind is ObservabilityType.TYPE_II:
+        classes = {output(network, x) for x in range(1, network.n_states + 1)}
+        exact = searched >= network.n_states - len(classes)
+    elif kind is ObservabilityType.TYPE_IV:
+        exact = searched >= len(pairs)
+    else:
+        exact = sufficient_horizon is not None and searched >= sufficient_horizon
+    return OracleVerdict(
+        kind=kind,
+        horizon=searched,
+        observable=observable,
+        exact=exact,
+        budget_limited=searched < horizon,
+    )
+
+
+def _run(network: Bcn, state: int, word: Sequence[int]) -> int:
+    for control in word:
+        state = step(network, state, control)
+    return state
+
+
+def verify_witness(network: Bcn, kind: ObservabilityType, witness) -> bool:
+    """The scalar replay, one range-checked step at a time, of a well-formed
+    payload in the shapes oracle.verify_witness takes."""
+    if kind is ObservabilityType.TYPE_I:
+        state, word = witness
+        return all(distinguishes(network, state, rival, word) for rival in _rivals(network, state))
+    if kind is ObservabilityType.TYPE_II:
+        (a, b), word = witness
+        return distinguishes(network, a, b, word)
+    if kind is ObservabilityType.TYPE_III:
+        return all(distinguishes(network, a, b, witness) for a, b in confusable_pairs(network))
+    (a, b), prefix, cycle = witness
+    if distinguishes(network, a, b, tuple(prefix) + tuple(cycle)):
+        return False
+    start = {_run(network, a, prefix), _run(network, b, prefix)}
+    return start == {_run(network, x, cycle) for x in start}
 
 
 def trajectory(

@@ -5,25 +5,27 @@ line outside pytest's capture, and enforces the stated runtime bound.
 """
 
 import itertools
+import json
 import time
 from contextlib import contextmanager
 
 import pytest
 
 from bcnobs.bcnio import emit_dot, gen_random_bcn
+from bcnobs.cli import run_cli
 from bcnobs.observability import (
     DECIDERS,
     ObservabilityType,
     implication_matrix,
     type_automata,
 )
-from bcnobs.oracle import brute_force, distinguishes, verify_witness
+from bcnobs.oracle import brute_force, verify_witness
 from bcnobs.pairgraph import build
 
 from conftest import golden_text
 from dotcheck import dot_structure
 from pairviews import PairVertex, automaton_dot, edges, non_diagonal_vertices, subset_automaton, vertex_automaton
-from reference import accepts, shortest_undefined_word
+from reference import accepts, distinguishes, shortest_undefined_word
 from test_reference import _random_network, _shift_register
 
 T_I = ObservabilityType.TYPE_I
@@ -270,3 +272,21 @@ def test_criterion_9_types_ii_and_iv_at_16384_states(criterion):
     assert random_ii.observable and len(random_ii.distinguishing) > 100_000
     assert not random_iv.observable
     assert verify_witness(networks[1], T_IV, random_iv.witness_payloads()[0])
+
+
+def test_criterion_10_oracle_check_at_256_states(criterion, tmp_path, monkeypatch, capsys):
+    network = _shift_register(0, 8, 4)
+    document = tmp_path / "shift_8_4.json"
+    document.write_text(json.dumps({
+        "n": 8, "m": 1, "q": 4, "ordering": "input-first",
+        "L": list(network.transition), "H": list(network.output_map),
+    }))
+    monkeypatch.setenv("BCNOBS_ENUM_BUDGET", "16384")
+    argv = ["decide", str(document), "--type", "all", "--witness", "--oracle-check"]
+    with criterion(10, "oracle cross-check and replay at 256 states", budget_ms=2000):
+        assert run_cli(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    oracle = [line for line in out if line.startswith("oracle ")]
+    assert [line.split(":")[0] for line in oracle] == [f"oracle {k.value}" for k in ObservabilityType]
+    assert all(", agrees" in line for line in oracle)
+    assert out[-1] == "witnesses verified"

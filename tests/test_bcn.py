@@ -2,10 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bcnobs.bcn import Bcn, output, step
+from bcnobs.bcn import Bcn
 from bcnobs.bcnio import gen_random_bcn
 
-from reference import LogicalMatrix, bcn_from_columns, delta, stp, to_dense, trajectory
+from reference import (
+    LogicalMatrix,
+    bcn_from_columns,
+    delta,
+    output,
+    step,
+    stp,
+    to_dense,
+    trajectory,
+)
 
 # Successor tables keyed by (state, input), worked out from the fixture
 # transition matrices by hand.

@@ -2,7 +2,8 @@
 
 The oracle's brute force is an independent check on the deciders only as
 long as it shares none of their machinery, so it may read the network and
-the type names and nothing else.  The cross-check against it lives in one
+the type names and nothing else; it steps states by indexing the network's
+maps, and the package has no other stepping code.  The cross-check against it lives in one
 place, bcnobs.cli.cross_check, which the scripts call rather than repeat.
 The column layouts of a document's L are known to the document parser in
 bcnobs.bcnio alone; every other module sees the one layout Bcn stores.
@@ -38,12 +39,25 @@ def package_imports(path: Path) -> set[tuple[str, tuple[str, ...]]]:
 def test_oracle_imports_only_the_network_and_type_names():
     imports = package_imports(PACKAGE / "oracle.py")
     assert imports == {
-        ("bcnobs.bcn", ("Bcn", "output", "step")),
+        ("bcnobs.bcn", ("Bcn",)),
         ("bcnobs.observability", ("ObservabilityType",)),
     }
     for module, names in imports:
         for banned in ("pairgraph", "automata"):
             assert banned not in module.split(".") and banned not in names
+
+
+def test_no_scalar_steps_in_the_package():
+    """The oracle steps pairs by indexing Bcn's maps; the range-checked
+    one-state step and output live in tests/reference.py alone."""
+    tree = ast.parse((PACKAGE / "bcn.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "check_map" in defined and not defined & {"step", "output"}
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    for path in modules:
+        for module, names in package_imports(path):
+            assert not (module == "bcnobs.bcn" and {"step", "output"} & set(names)), path
 
 
 def test_no_module_imports_stp():

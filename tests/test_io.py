@@ -6,7 +6,6 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from bcnobs.bcn import output, step
 from bcnobs.bcnio import (
     BcnDocument,
     DocumentError,
@@ -26,7 +25,14 @@ from bcnobs.pairgraph import build
 from conftest import fixture_path, golden_text
 from dotcheck import dot_structure, validate_dot
 from pairviews import PairVertex, automaton_dot, non_diagonal_vertices
-from reference import bcn_from_columns, compile_document, index_to_bool_tuple, serialize_document
+from reference import (
+    bcn_from_columns,
+    compile_document,
+    index_to_bool_tuple,
+    output,
+    serialize_document,
+    step,
+)
 
 
 def v(a, b):

@@ -6,18 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from bcnobs.bcnio import gen_random_bcn
 from bcnobs.observability import DECIDERS, ObservabilityType, exact_oracle_horizon
-from bcnobs.oracle import (
-    OracleVerdict,
-    brute_force,
-    confusable_pairs,
-    _fit_horizon,
-    distinguishes,
-    verify_witness,
-)
+from bcnobs.oracle import OracleVerdict, brute_force, confusable_pairs, _fit_horizon, verify_witness
 from bcnobs.pairgraph import build
 
 import reference
-from reference import bcn_from_columns
+from reference import bcn_from_columns, distinguishes
 
 T_I = ObservabilityType.TYPE_I
 T_II = ObservabilityType.TYPE_II
@@ -25,32 +18,24 @@ T_III = ObservabilityType.TYPE_III
 T_IV = ObservabilityType.TYPE_IV
 
 
-class TestDistinguishes:
-    def test_frozen_examples(self, bcn5):
-        assert distinguishes(bcn5, 2, 3, (2,))
-        assert not distinguishes(bcn5, 2, 4, (2, 1, 1))
-        assert not distinguishes(bcn5, 2, 3, ())
-        assert distinguishes(bcn5, 1, 2, ())  # immediate outputs differ
-
-    def test_rejects_equal_states(self, bcn5):
-        with pytest.raises(ValueError, match="differ"):
-            distinguishes(bcn5, 2, 2, (1,))
-
-    @given(st.integers(0, 2 ** 32), st.data())
-    def test_monotone_under_extension(self, seed, data):
-        network = gen_random_bcn(seed, 2, 1, 1)
-        first = data.draw(st.integers(1, 4))
-        second = data.draw(st.integers(1, 4).filter(lambda x: x != first))
-        word = tuple(data.draw(st.lists(st.integers(1, 2), max_size=4)))
-        extra = tuple(data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
-        if distinguishes(network, first, second, word):
-            assert distinguishes(network, first, second, word + extra)
-
-
 def test_confusable_pairs(bcn5, bcn6, bcn7):
     assert confusable_pairs(bcn5) == ((2, 3), (2, 4), (3, 4))
     assert confusable_pairs(bcn6) == ((1, 2), (3, 4))
     assert confusable_pairs(bcn7) == ((1, 2), (3, 4))
+
+
+@pytest.mark.parametrize("n,m,q", [(1, 1, 1), (3, 1, 1), (4, 2, 2), (6, 1, 3), (7, 1, 1)])
+def test_confusable_pairs_match_all_pairs_compared(n, m, q):
+    for seed in range(4):
+        network = gen_random_bcn(seed, n, m, q)
+        out = network.output_map
+        expected = tuple(
+            (a, b)
+            for a in range(1, network.n_states + 1)
+            for b in range(a + 1, network.n_states + 1)
+            if out[a - 1] == out[b - 1]
+        )
+        assert confusable_pairs(network) == expected, (seed, n, m, q)
 
 
 class TestBruteForce:
@@ -99,6 +84,12 @@ class TestBruteForce:
         assert verdict.horizon == 19  # 2 + 4 + ... + 2**19 words fit the 2**20 default
         assert verdict.budget_limited and verdict.observable
         assert elapsed < 2.0
+
+    def test_walk_deeper_than_the_call_stack(self):
+        # one pair that never separates: the walk goes 1,500 letters deep
+        network = bcn_from_columns(1, 1, 1, (1, 2, 1, 2), (1, 1), "input-first")
+        verdict = brute_force(network, T_IV, 1500, budget=2 ** 1500)
+        assert verdict.horizon == 1500 and verdict.exact and not verdict.observable
 
     def test_budget_too_small(self, bcn5):
         with pytest.raises(ValueError, match="budget"):
@@ -212,6 +203,29 @@ class TestVerifyWitness:
             verify_witness(bcn5, T_IV, ((2, 3), (1,), ()))
         with pytest.raises(ValueError):
             verify_witness(bcn5, T_IV, ((2, 3), (1,)))
+        with pytest.raises(ValueError):
+            verify_witness(bcn5, T_I, (True, (1,)))
+
+    @pytest.mark.parametrize("kind,payload", [
+        # letters past the separating one
+        (T_II, ((2, 3), (2, 99))),
+        (T_II, ((2, 3), (2, 0))),
+        (T_IV, ((2, 3), (2,), (1, 3))),
+        # letters no rival ever steps on
+        (T_I, (1, (5,))),
+        # pairs that need no separating
+        (T_II, ((1, 2), (7,))),
+        (T_II, ((1, 2), (1,))),
+        (T_IV, ((1, 2), (), (1,))),
+        # states outside 1..4, which would index the maps from the end
+        (T_I, (0, (1,))),
+        (T_I, (5, (1,))),
+        (T_II, ((0, 2), (1,))),
+        (T_IV, ((2, 5), (), (1,))),
+    ])
+    def test_every_letter_and_state_checked(self, bcn5, kind, payload):
+        with pytest.raises(ValueError):
+            verify_witness(bcn5, kind, payload)
 
 
 @settings(deadline=None)

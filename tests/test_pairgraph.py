@@ -1,12 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bcnobs.bcn import output, step
 from bcnobs.bcnio import gen_random_bcn
 from bcnobs.pairgraph import build
 
 from pairviews import PairVertex, edges, non_diagonal_vertices, pair_vertices
-from reference import make_pair
+from reference import make_pair, output, step
 
 
 def v(a, b):

@@ -12,12 +12,12 @@ from bcnobs.observability import (
     exact_oracle_horizon,
     implication_matrix,
 )
-from bcnobs.oracle import brute_force, confusable_pairs, distinguishes, verify_witness
+from bcnobs.oracle import brute_force, confusable_pairs, verify_witness
 from bcnobs.pairgraph import build
 
 from dotcheck import validate_dot
 from pairviews import automaton_dot, ids, non_diagonal_vertices, subset_automaton, vertex_automaton
-from reference import accepts, bcn_from_columns
+from reference import accepts, bcn_from_columns, distinguishes, words_up_to
 
 
 @st.composite
@@ -30,11 +30,6 @@ def networks(draw, max_n=3, max_m=2, max_q=2):
     transition = draw(st.lists(st.integers(1, n_states), min_size=width, max_size=width))
     out = draw(st.lists(st.integers(1, n_outputs), min_size=n_states, max_size=n_states))
     return bcn_from_columns(n, m, q, tuple(transition), tuple(out), "input-first")
-
-
-def _words_up_to(n_inputs, horizon):
-    for length in range(1, horizon + 1):
-        yield from itertools.product(range(1, n_inputs + 1), repeat=length)
 
 
 @given(networks())
@@ -76,7 +71,7 @@ def test_subset_machine_language_is_joint_survival(network, data):
     assume(nondiag)
     seeds = sorted(data.draw(st.sets(st.sampled_from(nondiag), min_size=1)))
     dfa = subset_automaton(graph, seeds)
-    for word in _words_up_to(network.n_inputs, 4):
+    for word in words_up_to(network.n_inputs, 4):
         survived = any(not distinguishes(network, v.lo, v.hi, word) for v in seeds)
         assert accepts(dfa, word) == survived
 
@@ -87,7 +82,7 @@ def test_vertex_machine_language_is_pair_survival(network):
     graph = build(network)
     for vertex in sorted(non_diagonal_vertices(graph)):
         dfa = vertex_automaton(graph, vertex)
-        for word in _words_up_to(network.n_inputs, 4):
+        for word in words_up_to(network.n_inputs, 4):
             survived = not distinguishes(network, vertex.lo, vertex.hi, word)
             assert accepts(dfa, word) == survived
 
@@ -102,7 +97,7 @@ def test_completeness_matches_bounded_acceptance(network):
     dfa = subset_automaton(graph, nondiag)
     bound = len(dfa.states) + 1
     assume(network.n_inputs ** bound <= 4096)
-    all_accepted = all(accepts(dfa, w) for w in _words_up_to(network.n_inputs, bound))
+    all_accepted = all(accepts(dfa, w) for w in words_up_to(network.n_inputs, bound))
     hole, _, _ = least_hole(graph, ids(graph, nondiag))
     assert (hole is None) == all_accepted
 
@@ -118,7 +113,7 @@ def test_shortest_hole_is_least(network):
     assume(word is not None)
     assume(network.n_inputs ** len(word) <= 4096)
     assert not accepts(dfa, word)
-    for shorter in _words_up_to(network.n_inputs, len(word) - 1):
+    for shorter in words_up_to(network.n_inputs, len(word) - 1):
         assert accepts(dfa, shorter)
     for rival in itertools.product(range(1, network.n_inputs + 1), repeat=len(word)):
         if rival == word:
@@ -136,7 +131,7 @@ def test_pair_witnesses_are_least_shortest(network):
         assume(network.n_inputs ** len(word) <= 4096)
         expected = next(
             w
-            for w in _words_up_to(network.n_inputs, len(word))
+            for w in words_up_to(network.n_inputs, len(word))
             if distinguishes(network, lo, hi, w)
         )
         assert word == expected

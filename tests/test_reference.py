@@ -1,9 +1,11 @@
-"""The integer-indexed pair graph and its searches against the code they
-replaced (tests/reference.py), and the reference's own behaviour."""
+"""The integer-indexed pair graph and its searches, and the oracle's word-tree
+walk and replay, against the code they replaced (tests/reference.py), and the
+reference's own behaviour."""
 
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bcnobs.automata import least_hole, subset_automaton_ids
 from bcnobs.bcnio import build_report, gen_random_bcn
@@ -20,7 +22,13 @@ from bcnobs.pairgraph import build
 
 import reference
 from pairviews import PairVertex, as_vertices, pair_vertices
-from reference import bcn_from_columns, make_pair, pair_successor, reachable_subgraph
+from reference import (
+    bcn_from_columns,
+    distinguishes,
+    make_pair,
+    pair_successor,
+    reachable_subgraph,
+)
 
 
 T_I, T_II, T_III, T_IV = ObservabilityType
@@ -285,3 +293,100 @@ def test_reachable_subgraph(graph5):
 
     with pytest.raises(ValueError, match="not a vertex"):
         reachable_subgraph(graph5, v(1, 2))
+
+
+def _oracle_networks(request):
+    yield from _fixture_networks(request)
+    rng = random.Random(23)
+    for index in range(120):
+        n, m, q = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 2)
+        yield f"seed {index} ({n},{m},{q})", gen_random_bcn(index, n, m, q)
+
+
+def test_brute_force_matches_word_loops(request):
+    """The word-tree walk against one loop per kind over every word, at
+    horizons around the conclusive one, under a small budget and under the
+    single-letter one."""
+    outcomes = set()
+    for label, network in _oracle_networks(request):
+        graph = build(network)
+        for kind in ObservabilityType:
+            h = exact_oracle_horizon(network, kind, graph)
+            for horizon in sorted({1, max(h - 1, 1), h, h + 2}):
+                for budget in (network.n_inputs, 300):
+                    args = (network, kind, horizon, budget, h)
+                    new, old = brute_force(*args), reference.brute_force(*args)
+                    assert new == old, (label, kind, horizon, budget)
+                    outcomes.add((kind, new.observable, new.exact))
+    # every kind answers both ways, conclusively
+    conclusive = {(kind, answer, True) for kind in ObservabilityType for answer in (True, False)}
+    assert conclusive <= outcomes
+
+
+def _mutations(network, kind, payload):
+    """The payload, and well-formed payloads one edit away: another letter,
+    one letter fewer or more, another confusable pair or state."""
+    letters = range(1, network.n_inputs + 1)
+
+    def words(word, empty_ok=False):
+        yield word
+        for i, letter in enumerate(word):
+            yield from (word[:i] + (u,) + word[i + 1:] for u in letters if u != letter)
+        if len(word) > 1 or empty_ok and word:
+            yield word[:-1]
+        yield from (word + (u,) for u in letters)
+
+    pairs = confusable_pairs(network)
+    if kind is T_I:
+        state, word = payload
+        yield from ((state, w) for w in words(word))
+        yield from ((other, word) for other in range(1, network.n_states + 1) if other != state)
+    elif kind is T_II:
+        pair, word = payload
+        yield from ((pair, w) for w in words(word))
+        yield from ((other, word) for other in pairs[:6])
+    elif kind is T_III:
+        yield from words(payload)
+    else:
+        pair, prefix, cycle = payload
+        yield from ((pair, p, cycle) for p in words(prefix, empty_ok=True))
+        yield from ((pair, prefix, c) for c in words(cycle))
+        yield from ((other, prefix, cycle) for other in pairs[:6])
+
+
+def test_replay_matches_scalar_steps(request):
+    """verify_witness against the scalar replay on every decider witness
+    and on well-formed payloads one edit away from it."""
+    answers = {kind: set() for kind in ObservabilityType}
+    for label, network in _oracle_networks(request):
+        graph = build(network)
+        for kind in ObservabilityType:
+            for payload in DECIDERS[kind](network, graph).witness_payloads():
+                assert verify_witness(network, kind, payload), (label, kind, payload)
+                for mutant in _mutations(network, kind, payload):
+                    expected = reference.verify_witness(network, kind, mutant)
+                    assert verify_witness(network, kind, mutant) == expected, (label, mutant)
+                    answers[kind].add(expected)
+    assert all(found == {True, False} for found in answers.values())
+
+
+class TestDistinguishes:
+    def test_frozen_examples(self, bcn5):
+        assert distinguishes(bcn5, 2, 3, (2,))
+        assert not distinguishes(bcn5, 2, 4, (2, 1, 1))
+        assert not distinguishes(bcn5, 2, 3, ())
+        assert distinguishes(bcn5, 1, 2, ())  # immediate outputs differ
+
+    def test_rejects_equal_states(self, bcn5):
+        with pytest.raises(ValueError, match="differ"):
+            distinguishes(bcn5, 2, 2, (1,))
+
+    @given(st.integers(0, 2 ** 32), st.data())
+    def test_monotone_under_extension(self, seed, data):
+        network = gen_random_bcn(seed, 2, 1, 1)
+        first = data.draw(st.integers(1, 4))
+        second = data.draw(st.integers(1, 4).filter(lambda x: x != first))
+        word = tuple(data.draw(st.lists(st.integers(1, 2), max_size=4)))
+        extra = tuple(data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+        if distinguishes(network, first, second, word):
+            assert distinguishes(network, first, second, word + extra)
