@@ -1,12 +1,13 @@
-"""Boolean control network in algebraic form: the two maps as int tuples.
-
-The network knows one column layout only; the document layouts and their
-conversion to it belong to bcnobs.bcnio.
+"""Boolean control network in algebraic form: the two maps as int tuples in
+one column layout (the document layouts and their conversion to it belong
+to bcnobs.bcnio), and its states grouped by output, Bcn.classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 
 def check_map(label: str, entries, count: int, limit: int) -> None:
@@ -49,3 +50,13 @@ class Bcn:
         check_map("transition map", self.transition, self.n_states * self.n_inputs, self.n_states)
         check_map("output map", self.output_map, self.n_states, self.n_outputs)
 
+    def __reduce__(self):  # the cached classes view cannot be pickled: send the five fields
+        return Bcn, (self.n_states, self.n_inputs, self.n_outputs, self.transition, self.output_map)
+
+    @cached_property
+    def classes(self) -> MappingProxyType:
+        """Each output value some state has, ascending, to the ascending tuple of its states."""
+        members: dict[int, list[int]] = {}
+        for state, value in enumerate(self.output_map, 1):
+            members.setdefault(value, []).append(state)
+        return MappingProxyType({value: tuple(members[value]) for value in sorted(members)})

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -270,9 +269,7 @@ def build_report(
             "inputs": network.n_inputs,
             "outputs": network.n_outputs,
         },
-        "confusable_pairs": sum(
-            k * (k - 1) // 2 for k in Counter(network.output_map).values()
-        ),
+        "confusable_pairs": sum(k * (k - 1) // 2 for k in map(len, network.classes.values())),
         "verdicts": {
             kind.value: _verdict_json(verdict) for kind, verdict in verdicts.items()
         },

@@ -284,7 +284,7 @@ def exact_oracle_horizon(network: Bcn, kind: ObservabilityType, graph: PairGraph
     At least 1.
     """
     if kind is ObservabilityType.TYPE_II:
-        return max(network.n_states - len(set(network.output_map)), 1)
+        return max(network.n_states - len(network.classes), 1)
     if kind is ObservabilityType.TYPE_IV:
         return max(len(graph.nondiagonal), 1)
     bounds = [least_hole(graph, seed)[2] for _, seed in _labeled_seeds(graph, kind)]

@@ -23,34 +23,26 @@ DEFAULT_BUDGET = 2 ** 20
 
 def confusable_pairs(network: Bcn) -> tuple[tuple[int, int], ...]:
     """Ordered pairs (a, b), a < b, of distinct states with equal output."""
-    classes: dict[int, list[int]] = {}
-    for state, value in enumerate(network.output_map, 1):
-        classes.setdefault(value, []).append(state)
     return tuple(sorted(
-        pair for members in classes.values() for pair in itertools.combinations(members, 2)
+        pair for members in network.classes.values() for pair in itertools.combinations(members, 2)
     ))
 
 
 def _unseparated(network: Bcn, entries: list[Entry], word: Sequence[int]) -> list[Entry]:
     """The entries whose two states, sharing an output at the start, share
     one after every letter of the word, each holding the states the word
-    leads to.
-
-    Every letter is range-checked, those after no entry is left included.
-    The states index the maps directly, so they must lie in 1..n_states.
+    leads to.  The states and letters index the maps directly, so they
+    must lie in 1..n_states and 1..n_inputs: replay checks its payload.
     """
-    n, m, trans, out = network.n_states, network.n_inputs, network.transition, network.output_map
+    n, trans, out = network.n_states, network.transition, network.output_map
     for control in word:
-        if not 1 <= control <= m:
-            raise ValueError(f"input {control!r} outside 1..{m}")
-        if entries:
-            base = (control - 1) * n - 1
-            kept = []
-            for i, a, b in entries:
-                x, y = trans[base + a], trans[base + b]
-                if out[x - 1] == out[y - 1]:
-                    kept.append((i, x, y))
-            entries = kept
+        base = (control - 1) * n - 1
+        kept = []
+        for i, a, b in entries:
+            x, y = trans[base + a], trans[base + b]
+            if out[x - 1] == out[y - 1]:
+                kept.append((i, x, y))
+        entries = kept
     return entries
 
 
@@ -98,22 +90,20 @@ class OracleVerdict:
         return self.observable != observable and (self.exact or self.observable)
 
 
-def _enumeration_cost(n_inputs: int, kind: ObservabilityType, horizon: int) -> int:
-    if kind is ObservabilityType.TYPE_IV:
-        return n_inputs ** horizon
-    return sum(n_inputs ** p for p in range(1, horizon + 1))
-
-
 def _fit_horizon(n_inputs: int, kind: ObservabilityType, horizon: int, budget: int) -> int:
     """Largest length <= horizon whose enumeration stays within budget."""
-    # the cost grows with the length: counting up takes ~log_M(budget) steps
-    if _enumeration_cost(n_inputs, kind, 1) > budget:
+    if n_inputs > budget:
         raise ValueError(
             f"budget {budget} cannot cover even a single-letter search"
             f" over {n_inputs} inputs"
         )
-    fitted = 1
-    while fitted < horizon and _enumeration_cost(n_inputs, kind, fitted + 1) <= budget:
+    # count up, adding the M^h words of each length h (TYPE_IV: only the last)
+    fitted, words, cost = 1, n_inputs, n_inputs
+    while fitted < horizon:
+        words *= n_inputs
+        cost = words if kind is ObservabilityType.TYPE_IV else cost + words
+        if cost > budget:
+            break
         fitted += 1
     return fitted
 
@@ -160,7 +150,7 @@ def brute_force(
         raise ValueError(f"unknown observability type {kind!r}")
 
     if kind is ObservabilityType.TYPE_II:
-        exact = searched >= network.n_states - len(set(network.output_map))
+        exact = searched >= network.n_states - len(network.classes)
     elif kind is ObservabilityType.TYPE_IV:
         exact = searched >= len(pairs)
     else:
@@ -188,23 +178,25 @@ def verify_witness(network: Bcn, kind: ObservabilityType, witness) -> bool:
     """
     if kind is ObservabilityType.TYPE_I:
         state, word = _as_pairload(witness, "TYPE_I witness is (state, word)")
-        _check_state(network, state)
-        out = network.output_map
-        rivals = [(0, state, x) for x, y in enumerate(out, 1) if y == out[state - 1] and x != state]
-        return not _unseparated(network, rivals, _as_word(word))
+        _check_index("state", state, network.n_states)
+        mates = network.classes[network.output_map[state - 1]]
+        rivals = [(0, state, x) for x in mates if x != state]
+        return not _unseparated(network, rivals, _as_word(network, word))
     if kind is ObservabilityType.TYPE_II:
         pair, word = _as_pairload(witness, "TYPE_II witness is ((a, b), word)")
-        return not _unseparated(network, [_as_entry(network, pair)], _as_word(word))
+        return not _unseparated(network, [_as_entry(network, pair)], _as_word(network, word))
     if kind is ObservabilityType.TYPE_III:
         pairs = [(0, a, b) for a, b in confusable_pairs(network)]
-        return not _unseparated(network, pairs, _as_word(witness))
+        return not _unseparated(network, pairs, _as_word(network, witness))
     if kind is ObservabilityType.TYPE_IV:
         try:
             pair, prefix, cycle = witness
         except (TypeError, ValueError):
             raise ValueError("TYPE_IV witness is ((a, b), prefix, cycle)") from None
-        start = _unseparated(network, [_as_entry(network, pair)], prefix)
-        end = _unseparated(network, start, _as_word(cycle))
+        cycle = _as_word(network, cycle)
+        word = _as_word(network, itertools.chain(prefix, cycle))  # checks the prefix too
+        start = _unseparated(network, [_as_entry(network, pair)], word[: -len(cycle)])
+        end = _unseparated(network, start, cycle)
         return bool(end) and set(end[0][1:]) == set(start[0][1:])
     raise ValueError(f"unknown observability type {kind!r}")
 
@@ -217,19 +209,22 @@ def _as_pairload(witness, message: str) -> tuple:
     return first, second
 
 
-def _as_word(word) -> Word:
+def _as_word(network: Bcn, word) -> Word:
+    """The word as a nonempty tuple of ints in 1..n_inputs; a bool is not one."""
     try:
-        out = tuple(word)
+        letters = tuple(word)
     except TypeError:
         raise ValueError("witness word must be a sequence of input indices") from None
-    if not out:
+    if not letters:
         raise ValueError("witness word must be nonempty")
-    return out
+    for control in letters:
+        _check_index("input", control, network.n_inputs)
+    return letters
 
 
-def _check_state(network: Bcn, state) -> None:
-    if type(state) is not int or not 1 <= state <= network.n_states:
-        raise ValueError(f"witness state {state!r} is not an int in 1..{network.n_states}")
+def _check_index(what: str, value, limit: int) -> None:
+    if type(value) is not int or not 1 <= value <= limit:
+        raise ValueError(f"witness {what} {value!r} is not an int in 1..{limit}")
 
 
 def _as_entry(network: Bcn, pair) -> Entry:
@@ -238,8 +233,8 @@ def _as_entry(network: Bcn, pair) -> Entry:
         a, b = pair
     except (TypeError, ValueError):
         raise ValueError("witness pair must hold two states") from None
-    _check_state(network, a)
-    _check_state(network, b)
+    _check_index("state", a, network.n_states)
+    _check_index("state", b, network.n_states)
     if a == b:
         raise ValueError("witness pair must hold two distinct states")
     if network.output_map[a - 1] != network.output_map[b - 1]:

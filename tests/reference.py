@@ -27,7 +27,8 @@
 - The walks over a finished machine (is_complete, shortest_undefined_word),
   which the library's hole search, automata.least_hole, replaced and is
   checked against, the oracle's old count-down rule for fitting a
-  horizon to a budget, and the old conclusive horizon taken from the full
+  horizon to a budget with the word count it sums afresh for each length
+  (enumeration_cost), and the old conclusive horizon taken from the full
   subset machines.
 - The canonical document writer, which only the round-trip tests use.
 - The general compile the library replaced with direct column arithmetic:
@@ -59,7 +60,7 @@ from bcnobs.automata import Dfa, Lasso, Word
 from bcnobs.bcn import Bcn
 from bcnobs.bcnio import COLUMN_ORDERS, BcnDocument, _label
 from bcnobs.observability import AutomatonStat, ObservabilityType, Verdict, type_automata
-from bcnobs.oracle import DEFAULT_BUDGET, OracleVerdict, _enumeration_cost, _fit_horizon
+from bcnobs.oracle import DEFAULT_BUDGET, OracleVerdict, _fit_horizon
 from bcnobs.pairgraph import UNREACHED, PairGraph
 
 from pairviews import PairVertex
@@ -729,13 +730,21 @@ def accepts(dfa: Dfa, word: Iterable[int]) -> bool:
     return True
 
 
+def enumeration_cost(n_inputs: int, kind: ObservabilityType, horizon: int) -> int:
+    """Words a search of this length walks: M^h for TYPE_IV, M + ... + M^h
+    for the other kinds."""
+    if kind is ObservabilityType.TYPE_IV:
+        return n_inputs ** horizon
+    return sum(n_inputs ** p for p in range(1, horizon + 1))
+
+
 def fit_horizon(n_inputs: int, kind: ObservabilityType, horizon: int, budget: int) -> int:
     """Largest length <= horizon whose enumeration stays within budget,
     found by counting down from the horizon."""
     fitted = horizon
-    while fitted > 1 and _enumeration_cost(n_inputs, kind, fitted) > budget:
+    while fitted > 1 and enumeration_cost(n_inputs, kind, fitted) > budget:
         fitted -= 1
-    if _enumeration_cost(n_inputs, kind, fitted) > budget:
+    if enumeration_cost(n_inputs, kind, fitted) > budget:
         raise ValueError(
             f"budget {budget} cannot cover even a single-letter search"
             f" over {n_inputs} inputs"

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -150,6 +153,40 @@ def test_bcn_coerces_lists_to_tuples():
     assert type(from_lists.transition) is tuple and type(from_lists.output_map) is tuple
     assert from_lists == from_tuples
     assert hash(from_lists) == hash(from_tuples)
+
+
+def test_classes_list_only_outputs_some_state_has():
+    network = Bcn(4, 2, 4, (1, 2, 3, 4) * 2, (3, 1, 3, 3))
+    assert dict(network.classes) == {1: (2,), 3: (1, 3, 4)}
+    assert list(network.classes) == [1, 3]
+
+
+@given(st.integers(0, 2 ** 32), st.integers(1, 5), st.integers(1, 4))
+def test_classes_partition_the_states(seed, n, q):
+    network = gen_random_bcn(seed, n, 1, q)
+    classes = network.classes
+    assert list(classes) == sorted(classes)
+    assert sorted(x for members in classes.values() for x in members) == list(range(1, 2 ** n + 1))
+    for value, members in classes.items():
+        assert members == tuple(sorted(members))
+        assert all(network.output_map[x - 1] == value for x in members)
+
+
+def test_classes_are_read_only(bcn5):
+    with pytest.raises(TypeError):
+        bcn5.classes[1] = (1,)
+    with pytest.raises(AttributeError):
+        bcn5.classes = {}
+    assert dict(bcn5.classes) == {1: (1,), 2: (2, 3, 4)}
+
+
+def test_classes_leave_equality_and_hash_alone():
+    read, unread = Bcn(2, 2, 4, TRANSITION_OK, OUTPUT_OK), Bcn(2, 2, 4, TRANSITION_OK, OUTPUT_OK)
+    assert read.classes == {1: (2,), 4: (1,)}
+    assert read == unread and unread == read
+    assert len({read, unread}) == 1
+    # the cached view is left out of pickles and copies
+    assert pickle.loads(pickle.dumps(read)) == read == copy.deepcopy(read)
 
 
 def test_input_first_storage(bcn5):

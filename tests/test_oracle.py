@@ -108,6 +108,13 @@ class TestBruteForce:
             else:
                 assert _fit_horizon(*case) == expected, case
 
+    def test_fit_horizon_counts_up_in_linear_steps(self):
+        # conclusive horizons of shift (12,1,7) under a budget that covers them
+        started = time.perf_counter()
+        assert _fit_horizon(2, T_II, 3968, 2 ** 3970) == 3968
+        assert _fit_horizon(2, T_IV, 63488, 2 ** 63490) == 63488
+        assert time.perf_counter() - started < 2.0
+
     def test_rejects_bad_horizon(self, bcn5):
         with pytest.raises(ValueError, match="horizon"):
             brute_force(bcn5, T_II, 0)
@@ -222,6 +229,11 @@ class TestVerifyWitness:
         (T_I, (5, (1,))),
         (T_II, ((0, 2), (1,))),
         (T_IV, ((2, 5), (), (1,))),
+        # letters that are not ints, bools included
+        (T_III, (True,)),
+        (T_III, (1.0,)),
+        (T_II, ((2, 3), "1")),
+        (T_IV, ((2, 3), ("1",), (1,))),
     ])
     def test_every_letter_and_state_checked(self, bcn5, kind, payload):
         with pytest.raises(ValueError):
