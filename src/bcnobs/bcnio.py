@@ -294,6 +294,11 @@ def build_report(
     return report
 
 
+# json.dumps's own spelling of the common scalars, by exact type (True is no int)
+_SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
+
+
 def report_text(report: Mapping) -> str:
     """json.dumps(report, indent=2) plus a newline, for string keys, in one join."""
     return "".join(_json_pieces(report, "\n", []) + ["\n"])
@@ -323,7 +328,7 @@ def _json_pieces(value, pad: str, out: list[str]) -> list[str]:
                 _json_pieces(item, inner, out)
         out.append(pad + ("}" if is_map else "]"))
     else:  # a string, number, true, false, null, {} or []
-        out.append(json.dumps(value))
+        out.append(_SCALARS.get(type(value), json.dumps)(value))
     return out
 
 

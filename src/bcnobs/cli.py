@@ -11,6 +11,7 @@ budget, which BCNOBS_ENUM_BUDGET overrides, cuts the search short.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -44,6 +45,7 @@ EXIT_INPUT = 2
 EXIT_FAULT = 3
 
 
+@functools.cache  # one tree per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bcnobs",

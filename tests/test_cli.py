@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -384,6 +385,47 @@ class TestErrors:
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["decide"])  # argparse: missing file operand
         assert excinfo.value.code == 2
+
+
+class TestParserReuse:
+    """run_cli builds its parser once per process; no call leaks into the next."""
+
+    def test_tree_built_once(self, capsys, monkeypatch):
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.__wrapped__()
+        per_tree = len(made)  # the top parser and one per command
+        made.clear()
+        cli.build_parser.cache_clear()
+        for argv in (["decide", BCN5], ["graph", BCN5], ["decide", BCN5, "--type", "II"]):
+            assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert per_tree > 1 and len(made) == per_tree
+
+    def test_options_do_not_carry_over(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        assert run_cli(["decide", BCN5, "--type", "II", "--witness", "--json", str(target)]) == 0
+        capsys.readouterr()
+        written = target.read_bytes(), target.stat().st_mtime_ns
+        assert run_cli(["decide", BCN5]) == 0
+        assert capsys.readouterr().out.splitlines() == BCN5_VERDICTS
+        assert (target.read_bytes(), target.stat().st_mtime_ns) == written
+
+    def test_usage_error_leaves_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["decide"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert run_cli(["graph", BCN5]) == 0
+        assert capsys.readouterr().out == golden_text("bcn5_pair_graph")
+        assert run_cli(["decide", BCN5]) == 0
+        assert capsys.readouterr().out.splitlines() == BCN5_VERDICTS
 
 
 def test_module_entry_point():

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bcnobs.bcnio import (
     build_report,
@@ -109,6 +110,19 @@ def test_report_text_is_json_dumps(request, name, network):
     {"tuple": (1, 2), "nested": {"k": [(3,), [4, [5]]]}, "é\n": " "},
 ])
 def test_report_text_of_any_json_value(value):
+    assert report_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028'), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 80), 2 ** 80) | st.floats() | _TEXT,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner),
+    max_leaves=12,
+)
+
+
+@given(_JSON_VALUES)
+def test_report_text_of_drawn_json_values(value):
     assert report_text(value) == json.dumps(value, indent=2) + "\n"
 
 
