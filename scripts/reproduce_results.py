@@ -10,7 +10,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bcnobs.bcnio import document_to_bcn, load_document
+from bcnobs.bcnio import load_document
 from bcnobs.cli import run_cli
 from bcnobs.pairgraph import build
 
@@ -18,11 +18,10 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def run_fixture(path):
-    document = load_document(path)
-    network = document_to_bcn(document)
+    network, name = load_document(path)
     graph = build(network)
     edges = {(p, q) for step in graph.succ.tolist() for p, q in enumerate(step) if q >= 0}
-    print(f"== {document.name or path.stem} "
+    print(f"== {name or path.stem} "
           f"(N={network.n_states}, M={network.n_inputs}, Q={network.n_outputs})")
     print(f"   pair graph: {graph.n_pairs} vertices ({len(graph.nondiagonal)}"
           f" confusable pairs), {len(edges)} weighted edges")

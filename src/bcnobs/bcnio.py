@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,21 +34,11 @@ COLUMN_ORDERS = ("state-first", "input-first")
 MAX_DOCUMENT_VARS = 32
 
 
-@dataclass(frozen=True)
-class BcnDocument:
-    """A network as read from its document, checked and in delta columns.
+class BcnDocument(NamedTuple):
+    """A document's network, checked and in Bcn's columns whatever body the
+    file used, and its name; it unpacks as network, name."""
 
-    transition and output_map are the maps of Bcn: transition lists the
-    successor of each (input, state) column input-first, output_map the
-    output of each state, all 1-based.  parse_document brings every body to
-    this form; the body a document was written in is not kept.
-    """
-
-    n: int
-    m: int
-    q: int
-    transition: tuple[int, ...]
-    output_map: tuple[int, ...]
+    network: Bcn
     name: Optional[str] = None
 
 
@@ -118,6 +107,7 @@ def parse_document(text: str) -> BcnDocument:
     has_table = "update" in raw or "output" in raw
     if has_matrix and has_table:
         raise DocumentError("give either L/H columns or update/output tables, not both")
+    n_states, n_inputs, n_outputs = 2 ** n, 2 ** m, 2 ** q
     if has_matrix:
         if "L" not in raw or "H" not in raw:
             raise DocumentError("matrix form needs both 'L' and 'H'")
@@ -127,32 +117,32 @@ def parse_document(text: str) -> BcnDocument:
                 "field 'ordering' must be 'state-first' or 'input-first';"
                 " there is no default"
             )
-        n_states, n_inputs, n_outputs = 2 ** n, 2 ** m, 2 ** q
         transition = _column_list(raw, "L", n_states * n_inputs, n_states)
         if ordering == "state-first":  # every n_inputs-th column, for each input in turn
             columns = (transition[u::n_inputs] for u in range(n_inputs))
             transition = tuple(chain.from_iterable(columns))
-        return BcnDocument(n, m, q, transition, _column_list(raw, "H", n_states, n_outputs), name)
-    if has_table:
+        output_map = _column_list(raw, "H", n_states, n_outputs)
+    elif has_table:
         if "update" not in raw or "output" not in raw:
             raise DocumentError("truth-table form needs both 'update' and 'output'")
         if "ordering" in raw:
             raise DocumentError("field 'ordering' applies only to the L/H matrix form")
         # input bits lead the update keys, so its columns land input-first
         transition = _table_columns(raw, "update", m + n, n)
-        return BcnDocument(n, m, q, transition, _table_columns(raw, "output", n, q), name)
-    raise DocumentError("missing network body: need L/H or update/output")
+        output_map = _table_columns(raw, "output", n, q)
+    else:
+        raise DocumentError("missing network body: need L/H or update/output")
+    return BcnDocument(Bcn(n_states, n_inputs, n_outputs, transition, output_map), name)
 
 
 def document_to_bcn(document: BcnDocument) -> Bcn:
-    """Compile a document into the internal algebraic form."""
-    n_states, n_inputs, n_outputs = 2 ** document.n, 2 ** document.m, 2 ** document.q
-    return Bcn(n_states, n_inputs, n_outputs, document.transition, document.output_map)
+    """The document's network, built and checked by parse_document."""
+    return document.network
 
 
 def parse_bcn(text: str) -> Bcn:
-    """Parse a document and compile it in one go."""
-    return document_to_bcn(parse_document(text))
+    """Parse a document and keep only its network."""
+    return parse_document(text).network
 
 
 def load_document(path) -> BcnDocument:

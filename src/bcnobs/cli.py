@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 import time
 from contextlib import contextmanager
@@ -26,7 +27,6 @@ from .bcnio import (
     emit_automaton_dot,
     emit_dot,
     load_document,
-    document_to_bcn,
     report_text,
 )
 from .observability import (
@@ -76,14 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
     graph.add_argument("--dot", metavar="OUT", help="write here instead of stdout")
 
     automata = sub.add_parser(
-        "automata", help="emit the automata one decider inspects as DOT"
+        "automata", help="emit the full subset machines of each notion as DOT"
     )
     automata.add_argument("file", help="network document (JSON)")
     automata.add_argument(
         "--type",
         required=True,
         choices=["I", "II", "III", "IV", "all"],
-        help="which decider's machines to build",
+        help="which notion's machines to build",
     )
     automata.add_argument(
         "--dot-dir", metavar="DIR", help="write one DOT file per machine here"
@@ -186,20 +186,26 @@ def _writing(path):
 
 def _claim(path: Optional[str], directory: bool = False) -> None:
     """Create any output file or directory first: a bad path fails fast."""
+    if path == "":  # Path("") would name the current directory
+        raise DocumentError("an output path cannot be empty")
     with _writing(path):
-        if path and directory:
+        if path is not None and directory:
             Path(path).mkdir(parents=True, exist_ok=True)
-        elif path:
+        elif path is not None:
             open(path, "a").close()
 
 
-def _load(path: str) -> tuple[Bcn, Optional[str]]:
-    document = load_document(path)
-    return document_to_bcn(document), document.name
+def _write(path, text: str) -> None:
+    """Write text over path in place, then cut a regular file's old tail: O_TRUNC on
+    a file that holds data costs a writeback on close; a pipe or device has no tail."""
+    with _writing(path), open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        handle.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate()
 
 
 def _cmd_decide(args) -> int:
-    network, name = _load(args.file)
+    network, name = load_document(args.file)
     budget = budget_from_env(network.n_inputs) if args.oracle_check else None
     _claim(args.json)
     graph = build(network)
@@ -233,7 +239,7 @@ def _cmd_decide(args) -> int:
         if witnesses_verified:
             print("witnesses verified")
 
-    if args.json:
+    if args.json is not None:
         report = build_report(
             network,
             verdicts,
@@ -242,25 +248,23 @@ def _cmd_decide(args) -> int:
             oracle_results=oracle_results,
             witnesses_verified=witnesses_verified,
         )
-        with _writing(args.json):
-            Path(args.json).write_text(report_text(report), encoding="utf-8")
+        _write(args.json, report_text(report))
     return exit_code
 
 
 def _cmd_graph(args) -> int:
-    network, _ = _load(args.file)
+    network, _ = load_document(args.file)
     _claim(args.dot)
     text = emit_dot(build(network))
-    if args.dot:
-        with _writing(args.dot):
-            Path(args.dot).write_text(text, encoding="utf-8")
-    else:
+    if args.dot is None:
         print(text, end="")
+    else:
+        _write(args.dot, text)
     return EXIT_OK
 
 
 def _cmd_automata(args) -> int:
-    network, _ = _load(args.file)
+    network, _ = load_document(args.file)
     _claim(args.dot_dir, directory=True)
     graph = build(network)
     rendered: list[tuple[str, str]] = []
@@ -274,11 +278,10 @@ def _cmd_automata(args) -> int:
                 for label, dfa in type_automata(graph, shared)
             ]
         rendered.extend((f"automaton_{kind.value}_{label}", text) for label, text in texts[shared])
-    if args.dot_dir:
+    if args.dot_dir is not None:
         directory = Path(args.dot_dir)
-        with _writing(directory):
-            for label, text in rendered:
-                (directory / f"{label}.dot").write_text(text, encoding="utf-8")
+        for label, text in rendered:
+            _write(directory / f"{label}.dot", text)
         for label, _ in rendered:
             print(directory / f"{label}.dot")
     else:

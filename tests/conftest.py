@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from bcnobs.bcnio import document_to_bcn, load_document
+from bcnobs.bcnio import load_document
 from bcnobs.pairgraph import build
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -14,7 +14,7 @@ def fixture_path(name: str) -> Path:
 
 
 def fixture_bcn(name: str):
-    return document_to_bcn(load_document(fixture_path(name)))
+    return load_document(fixture_path(name)).network
 
 
 def golden_text(name: str, suffix: str = ".dot") -> str:

@@ -35,7 +35,7 @@
   the truth-table compiler over Boolean tuples (from_truth_table,
   bool_tuple_index), the column reorder in both directions
   (reorder_columns), and the compile of a document body written in them
-  (compile_document).  The tests check parse_document and document_to_bcn
+  (compile_document).  The tests check the networks parse_document builds
   against it.
 - bcn_from_columns, which builds a network from L columns in either
   layout; only tests build networks that way.
@@ -754,12 +754,14 @@ def fit_horizon(n_inputs: int, kind: ObservabilityType, horizon: int, budget: in
 
 def serialize_document(document: BcnDocument) -> str:
     """Canonical JSON text, the input-first matrix body;
-    parse_document(serialize_document(d)) == d."""
-    body: dict = {}
-    if document.name is not None:
-        body["name"] = document.name
-    body.update(n=document.n, m=document.m, q=document.q, ordering="input-first")
-    body.update(L=list(document.transition), H=list(document.output_map))
+    parse_document(serialize_document(d)) == d; n, m and q are read off the
+    network's sizes."""
+    network, name = document
+    body: dict = {} if name is None else {"name": name}
+    sizes = network.n_states, network.n_inputs, network.n_outputs
+    n, m, q = (size.bit_length() - 1 for size in sizes)
+    body.update(n=n, m=m, q=q, ordering="input-first")
+    body.update(L=list(network.transition), H=list(network.output_map))
     return json.dumps(body, indent=2) + "\n"
 
 

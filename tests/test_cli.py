@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -336,7 +337,10 @@ class TestErrors:
         ["graph", BCN5, "--dot", "{missing}/g.dot"],
         ["automata", BCN5, "--type", "all", "--dot-dir", "{taken}"],
         ["decide", BCN5, "--json", "{missing}/r.json"],
-    ], ids=["graph", "automata", "decide"])
+        ["graph", BCN5, "--dot", ""],
+        ["automata", BCN5, "--type", "III", "--dot-dir", ""],
+        ["decide", BCN5, "--json", ""],
+    ], ids=["graph", "automata", "decide", "graph-empty", "automata-empty", "decide-empty"])
     def test_unwritable_path_fails_before_building(self, capsys, monkeypatch, tmp_path, argv):
         def refuse(network):
             raise AssertionError("built the pair graph before checking the output path")
@@ -385,6 +389,74 @@ class TestErrors:
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["decide"])  # argparse: missing file operand
         assert excinfo.value.code == 2
+
+
+class TestWriter:
+    """Output files are overwritten in place: a regular file's old tail is
+    cut, a pipe or a device takes the text as it comes, and no open truncates."""
+
+    OLD = "x" * 100_000  # longer than any new output below
+
+    @pytest.fixture
+    def fixed_clock(self, monkeypatch):  # the report's timings read 0.0 on every run
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+
+    def test_report_over_longer_file(self, tmp_path, capsys, fixed_clock):
+        fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+        old.write_text(self.OLD)
+        argv = ["decide", BCN6, "--witness", "--oracle-check", "--json"]
+        assert run_cli(argv + [str(fresh)]) == 0
+        assert run_cli(argv + [str(old)]) == 0
+        capsys.readouterr()
+        assert old.read_bytes() == fresh.read_bytes()
+
+    def test_dot_over_longer_file(self, tmp_path, capsys, graph6):
+        target = tmp_path / "pairs.dot"
+        target.write_text(self.OLD)
+        assert run_cli(["graph", BCN6, "--dot", str(target)]) == 0
+        capsys.readouterr()
+        assert target.read_text() == emit_dot(graph6)
+
+    def test_dot_dir_file_over_longer_file(self, tmp_path, capsys, graph6):
+        target = tmp_path / "automaton_III_all_pairs.dot"
+        target.write_text(self.OLD)
+        assert run_cli(["automata", BCN6, "--type", "III", "--dot-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert target.read_text() == automaton_dot(graph6, sorted(non_diagonal_vertices(graph6)))
+
+    def test_dot_to_stdout_through_a_pipe(self):
+        env = dict(os.environ, PYTHONPATH=str(FIXTURE_DIR.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bcnobs.cli", "graph", BCN5, "--dot", "/dev/stdout"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == golden_text("bcn5_pair_graph")
+
+    def test_report_to_dev_null(self, capsys):
+        assert run_cli(["decide", BCN5, "--json", os.devnull]) == 0
+        assert capsys.readouterr().out.splitlines() == BCN5_VERDICTS
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", BCN5, "--json", "{dir}/out"],
+        ["graph", BCN5, "--dot", "{dir}/out"],
+        ["automata", BCN5, "--type", "III", "--dot-dir", "{dir}"],
+    ], ids=["decide", "graph", "automata"])
+    def test_no_open_truncates(self, tmp_path, capsys, monkeypatch, argv):
+        (tmp_path / "out").write_text(self.OLD)
+        (tmp_path / "automaton_III_all_pairs.dot").write_text(self.OLD)
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *rest, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *rest, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert run_cli([arg.format(dir=tmp_path) for arg in argv]) == 0
+        capsys.readouterr()
+        assert flags, "the writer did not open its file with os.open"
+        assert not any(flag & os.O_TRUNC for flag in flags)
 
 
 class TestParserReuse:

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from bcnobs.bcn import Bcn
 from bcnobs.bcnio import (
     BcnDocument,
     DocumentError,
@@ -82,11 +83,12 @@ class TestParsing:
     def test_fixture_document(self):
         document = load_document(fixture_path("bcn5"))
         assert document.name == "bcn5"
-        assert (document.n, document.m, document.q) == (2, 1, 1)
+        network = document.network
+        assert (network.n_states, network.n_inputs, network.n_outputs) == (4, 2, 2)
         # the state-first L of the file, held input-first
-        assert document.transition == (1, 2, 2, 1, 1, 1, 4, 1)
-        assert document.output_map == (1, 2, 2, 2)
-        network = document_to_bcn(document)
+        assert network.transition == (1, 2, 2, 1, 1, 1, 4, 1)
+        assert network.output_map == (1, 2, 2, 2)
+        assert document_to_bcn(document) is network
         assert step(network, 3, 2) == 4
         assert output(network, 3) == 2
 
@@ -113,6 +115,12 @@ class TestParsing:
             parse_document("[1, 2]")
         with pytest.raises(DocumentError, match="body"):
             parse_document(json.dumps({"n": 1, "m": 1, "q": 1}))
+
+    @pytest.mark.parametrize("name", ["bcn5", "bcn6", "bcn7"])
+    def test_document_unpacks_as_network_and_name(self, name):
+        network, document_name = load_document(fixture_path(name))
+        assert document_name == name
+        assert network == compile_document(json.loads(fixture_path(name).read_text()))
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(DocumentError, match="cannot read"):
@@ -175,9 +183,9 @@ class TestTruthTableForm:
             parse_document(text)
 
     def test_hand_built_document_is_checked_at_compile(self):
-        document = BcnDocument(n=1, m=1, q=1, transition=(1, 2, 2, 0), output_map=(1, 2))
+        # a document holds a Bcn, which checks its maps when it is built
         with pytest.raises(ValueError, match="transition map column 4 is 0"):
-            document_to_bcn(document)
+            BcnDocument(Bcn(2, 2, 2, (1, 2, 2, 0), (1, 2)))
 
 
 class TestRejectionThroughCli:
@@ -221,15 +229,13 @@ class TestRoundTrip:
         ))
         recovered = parse_document(serialize_document(document))
         assert recovered == document
-        assert document_to_bcn(recovered) == bcn7
+        assert recovered.network == bcn7
 
     @given(st.integers(0, 2 ** 32))
     def test_generated_documents(self, seed):
         network = gen_random_bcn(seed, 2, 1, 1)
-        document = BcnDocument(2, 1, 1, network.transition, network.output_map)
-        recovered = parse_document(serialize_document(document))
-        assert recovered == document
-        assert document_to_bcn(recovered) == network
+        recovered = parse_document(serialize_document(BcnDocument(network)))
+        assert recovered == (network, None)
 
 
 def _three_bodies(network, n, m, q):
@@ -251,20 +257,20 @@ def _three_bodies(network, n, m, q):
 
 def _assert_compiles_as_reference(network, n, m, q):
     for text in _three_bodies(network, n, m, q):
-        assert document_to_bcn(parse_document(text)) == compile_document(json.loads(text)) == network
+        assert parse_document(text).network == compile_document(json.loads(text)) == network
 
 
 class TestCompileAgainstReference:
-    """parse_document and document_to_bcn against the general converters
-    they replaced."""
+    """The networks parse_document builds against the general converters
+    it replaced."""
 
     @pytest.mark.parametrize("name", ["bcn5", "bcn6", "bcn7"])
     def test_fixtures(self, name):
         path = fixture_path(name)
-        document = load_document(path)
-        network = compile_document(json.loads(path.read_text()))
-        assert document_to_bcn(document) == network
-        _assert_compiles_as_reference(network, document.n, document.m, document.q)
+        raw = json.loads(path.read_text())
+        network = compile_document(raw)
+        assert load_document(path).network == network
+        _assert_compiles_as_reference(network, raw["n"], raw["m"], raw["q"])
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("m", [1, 2])
