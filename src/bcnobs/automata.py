@@ -5,8 +5,9 @@ which every state is accepting: a word is rejected only by running off the
 defined transitions.  Completeness of such a machine is therefore the same
 as accepting every word.
 
-The searches for types II and IV run on the pair graph's id arrays:
-distances computed backwards from a goal, then the least input lowering the
+Types II and IV each read one reverse sweep of the pair graph
+(PairGraph.distances): whether some word (II), or every input sequence
+(IV), drives a pair off it.  Words follow the least input lowering a
 distance at each step, which spells the least shortest word.
 """
 
@@ -214,31 +215,15 @@ class Lasso(NamedTuple):
     cycle: Word
 
 
-def _endless(graph: PairGraph) -> np.ndarray:
-    """Per pair, whether it has an infinite walk in the graph.  Peels, level
-    by level, every pair whose successors are all peeled or off the graph;
-    each pair left has a successor left, so it walks forever."""
-    left = np.count_nonzero(graph.succ >= 0, axis=0)
-    frontier = np.flatnonzero(left == 0)
-    slot = np.empty(graph.n_pairs, dtype=np.int64)
-    while frontier.size:
-        found = graph.predecessors(frontier)
-        np.subtract.at(left, found, 1)
-        found = found[left[found] == 0]
-        rank = np.arange(found.size)
-        slot[found] = rank  # keep each pair once, as distances does
-        frontier = found[slot[found] == rank]
-    return left > 0
-
-
 def find_lasso(graph: PairGraph, sources: list[int]) -> Optional[Lasso]:
     """Lasso from the least of the ascending source ids that reaches the
     least on-cycle pair reachable from any of them; None when no cycle is
     reachable.  prefix and cycle are lexicographically least shortest.
-    Tarjan runs only on the pairs with an infinite walk (_endless), which
-    hold every walk from a source to a cycle; only the two words are spelled.
+    Tarjan runs only on the pairs with an infinite walk (unreached by distances
+    with every), which hold every walk from a source to a cycle; only the two words are spelled.
     """
-    endless = _endless(graph)
+    no_successor = np.flatnonzero((graph.succ < 0).all(axis=0))
+    endless = graph.distances(no_successor, 1, every=True) == UNREACHED
     sources = np.asarray(sources, dtype=np.int64)
     roots = sources[endless[sources]]
     if not roots.size:

@@ -1,13 +1,22 @@
 """Boolean control network in algebraic form: the two maps as int tuples in
 one column layout (the document layouts and their conversion to it belong
-to bcnobs.bcnio), and its states grouped by output, Bcn.classes.
+to bcnobs.bcnio), its states grouped by output, Bcn.classes, and the names
+of the four notions, which the deciders and the oracle share.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+
+
+class ObservabilityType(enum.Enum):
+    TYPE_I = "I"
+    TYPE_II = "II"
+    TYPE_III = "III"
+    TYPE_IV = "IV"
 
 
 def check_map(label: str, entries, count: int, limit: int) -> None:
@@ -43,8 +52,8 @@ class Bcn:
     def __post_init__(self) -> None:
         for label in ("n_states", "n_inputs", "n_outputs"):
             value = getattr(self, label)
-            if value < 1 or value & (value - 1):
-                raise ValueError(f"{label} must be a power of two, got {value}")
+            if type(value) is not int or value < 1 or value & (value - 1):  # a bool is no int
+                raise ValueError(f"{label} must be a power of two, got {value!r}")
         object.__setattr__(self, "transition", tuple(self.transition))
         object.__setattr__(self, "output_map", tuple(self.output_map))
         check_map("transition map", self.transition, self.n_states * self.n_inputs, self.n_states)

@@ -13,7 +13,7 @@ import numpy as np
 from .automata import Dfa
 from .bcn import Bcn, check_map
 from .observability import ObservabilityType, Verdict
-from .oracle import OracleVerdict
+from .oracle import OracleVerdict, confusable_count
 from .pairgraph import Pair, PairGraph
 
 
@@ -259,7 +259,7 @@ def build_report(
             "inputs": network.n_inputs,
             "outputs": network.n_outputs,
         },
-        "confusable_pairs": sum(k * (k - 1) // 2 for k in map(len, network.classes.values())),
+        "confusable_pairs": confusable_count(network),
         "verdicts": {
             kind.value: _verdict_json(verdict) for kind, verdict in verdicts.items()
         },
@@ -334,7 +334,7 @@ def gen_random_bcn(seed: int, n: int, m: int, q: int) -> Bcn:
     columns overall.
     """
     for label, value in (("n", n), ("m", m), ("q", q)):
-        if not isinstance(value, int) or not 1 <= value <= MAX_VARS:
+        if type(value) is not int or not 1 <= value <= MAX_VARS:  # a bool is no int
             raise ValueError(f"{label} must be an int in 1..{MAX_VARS}")
     n_states, n_inputs, n_outputs = 2 ** n, 2 ** m, 2 ** q
     if n_states * n_inputs > MAX_TRANSITION_COLUMNS:

@@ -16,7 +16,7 @@ import os
 import stat
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -184,21 +184,23 @@ def _writing(path):
         raise DocumentError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _claim(path: Optional[str], directory: bool = False) -> None:
-    """Create any output file or directory first: a bad path fails fast."""
+def _claim(path, directory: bool = False):
+    """Create any output file or directory first: a bad path fails fast.  A file is
+    returned open in place (no O_TRUNC, see _write); otherwise a context giving None."""
     if path == "":  # Path("") would name the current directory
         raise DocumentError("an output path cannot be empty")
     with _writing(path):
         if path is not None and directory:
             Path(path).mkdir(parents=True, exist_ok=True)
         elif path is not None:
-            open(path, "a").close()
+            return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb")
+    return nullcontext()
 
 
-def _write(path, text: str) -> None:
-    """Write text over path in place, then cut a regular file's old tail: O_TRUNC on
-    a file that holds data costs a writeback on close; a pipe or device has no tail."""
-    with _writing(path), open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+def _write(path, handle, text: str) -> None:
+    """Write text over path's claimed handle in place, cut a regular file's old tail, close:
+    O_TRUNC on a file that holds data costs a writeback on close; a pipe or device has no tail."""
+    with _writing(path), handle:
         handle.write(text.encode("utf-8"))
         if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
             handle.truncate()
@@ -207,59 +209,59 @@ def _write(path, text: str) -> None:
 def _cmd_decide(args) -> int:
     network, name = load_document(args.file)
     budget = budget_from_env(network.n_inputs) if args.oracle_check else None
-    _claim(args.json)
-    graph = build(network)
-    kinds = _selected_types(args.type)
-    verdicts: dict[ObservabilityType, Verdict] = {}
-    timings: dict[ObservabilityType, float] = {}
-    for kind in kinds:
-        started = time.perf_counter()
-        verdicts[kind] = DECIDERS[kind](network, graph)
-        timings[kind] = (time.perf_counter() - started) * 1000.0
-    lines = [line for kind in kinds for line in _verdict_lines(verdicts[kind], args.witness)]
-    sys.stdout.write("\n".join(lines + [""]))
-
-    exit_code = EXIT_OK
-    oracle_results = None
-    witnesses_verified = None
-    if args.oracle_check:
-        oracle_results = {}
-        for kind, (result, marker) in cross_check(network, graph, verdicts, budget).items():
-            oracle_results[kind] = result
-            if marker == "DISAGREES":
-                exit_code = EXIT_VIOLATION
-            print(oracle_line(kind, result, marker))
-        witnesses_verified = True
+    with _claim(args.json) as out:
+        graph = build(network)
+        kinds = _selected_types(args.type)
+        verdicts: dict[ObservabilityType, Verdict] = {}
+        timings: dict[ObservabilityType, float] = {}
         for kind in kinds:
-            for payload in verdicts[kind].witness_payloads():
-                if not verify_witness(network, kind, payload):
-                    witnesses_verified = False
-                    exit_code = EXIT_VIOLATION
-                    print(f"witness check FAILED for type {kind.value}: {payload}")
-        if witnesses_verified:
-            print("witnesses verified")
+            started = time.perf_counter()
+            verdicts[kind] = DECIDERS[kind](network, graph)
+            timings[kind] = (time.perf_counter() - started) * 1000.0
+        lines = [line for kind in kinds for line in _verdict_lines(verdicts[kind], args.witness)]
+        sys.stdout.write("\n".join(lines + [""]))
 
-    if args.json is not None:
-        report = build_report(
-            network,
-            verdicts,
-            name=name,
-            timings_ms=timings,
-            oracle_results=oracle_results,
-            witnesses_verified=witnesses_verified,
-        )
-        _write(args.json, report_text(report))
-    return exit_code
+        exit_code = EXIT_OK
+        oracle_results = None
+        witnesses_verified = None
+        if args.oracle_check:
+            oracle_results = {}
+            for kind, (result, marker) in cross_check(network, graph, verdicts, budget).items():
+                oracle_results[kind] = result
+                if marker == "DISAGREES":
+                    exit_code = EXIT_VIOLATION
+                print(oracle_line(kind, result, marker))
+            witnesses_verified = True
+            for kind in kinds:
+                for payload in verdicts[kind].witness_payloads():
+                    if not verify_witness(network, kind, payload):
+                        witnesses_verified = False
+                        exit_code = EXIT_VIOLATION
+                        print(f"witness check FAILED for type {kind.value}: {payload}")
+            if witnesses_verified:
+                print("witnesses verified")
+
+        if out is not None:
+            report = build_report(
+                network,
+                verdicts,
+                name=name,
+                timings_ms=timings,
+                oracle_results=oracle_results,
+                witnesses_verified=witnesses_verified,
+            )
+            _write(args.json, out, report_text(report))
+        return exit_code
 
 
 def _cmd_graph(args) -> int:
     network, _ = load_document(args.file)
-    _claim(args.dot)
-    text = emit_dot(build(network))
-    if args.dot is None:
-        print(text, end="")
-    else:
-        _write(args.dot, text)
+    with _claim(args.dot) as out:
+        text = emit_dot(build(network))
+        if out is None:
+            print(text, end="")
+        else:
+            _write(args.dot, out, text)
     return EXIT_OK
 
 
@@ -281,7 +283,8 @@ def _cmd_automata(args) -> int:
     if args.dot_dir is not None:
         directory = Path(args.dot_dir)
         for label, text in rendered:
-            _write(directory / f"{label}.dot", text)
+            path = directory / f"{label}.dot"
+            _write(path, _claim(path), text)
         for label, _ in rendered:
             print(directory / f"{label}.dot")
     else:

@@ -19,7 +19,6 @@ type IV reduces to the absence of a cycle reachable from a confusable pair.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple, Optional
 
@@ -32,15 +31,9 @@ from .automata import (
     least_hole,
     subset_automaton_ids,
 )
-from .bcn import Bcn
+from .bcn import Bcn, ObservabilityType
+from .oracle import conclusive_horizon
 from .pairgraph import UNREACHED, Pair, PairGraph, build
-
-
-class ObservabilityType(enum.Enum):
-    TYPE_I = "I"
-    TYPE_II = "II"
-    TYPE_III = "III"
-    TYPE_IV = "IV"
 
 
 class AutomatonStat(NamedTuple):
@@ -275,17 +268,12 @@ def type_automata(graph: PairGraph, kind: ObservabilityType) -> Iterator[tuple[s
 def exact_oracle_horizon(network: Bcn, kind: ObservabilityType, graph: PairGraph) -> int:
     """Word length at which exhaustive search is conclusive for a network.
 
-    Type II: N - k for N states in k output classes (Moore 1956: refining
-    the output classes by successors settles within N - k rounds), never
-    more than the confusable-pair count.  Type IV: the confusable-pair
-    count.  Types I and III: the largest hole bound least_hole gives over
+    Types II and IV: oracle.conclusive_horizon, read off the output classes.
+    Types I and III: the largest hole bound least_hole gives over
     _labeled_seeds, every type I state included; no machine is built, and
     a seed a decider has searched on this graph is not searched again.
     At least 1.
     """
-    if kind is ObservabilityType.TYPE_II:
-        return max(network.n_states - len(network.classes), 1)
-    if kind is ObservabilityType.TYPE_IV:
-        return max(len(graph.nondiagonal), 1)
-    bounds = [least_hole(graph, seed)[2] for _, seed in _labeled_seeds(graph, kind)]
-    return max(bounds + [1])
+    return conclusive_horizon(network, kind) or max(
+        [least_hole(graph, seed)[2] for _, seed in _labeled_seeds(graph, kind)] + [1]
+    )

@@ -12,8 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .bcn import Bcn
-from .observability import ObservabilityType
+from .bcn import Bcn, ObservabilityType
 
 Word = tuple[int, ...]
 Entry = tuple[int, int, int]  # (id, a, b): a pair's id and its two current states
@@ -26,6 +25,23 @@ def confusable_pairs(network: Bcn) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(
         pair for members in network.classes.values() for pair in itertools.combinations(members, 2)
     ))
+
+
+def confusable_count(network: Bcn) -> int:
+    """The number of confusable pairs, counted from the output classes."""
+    return sum(k * (k - 1) // 2 for k in map(len, network.classes.values()))
+
+
+def conclusive_horizon(network: Bcn, kind: ObservabilityType) -> Optional[int]:
+    """Word length, at least 1, at which exhaustive search is conclusive: N - k
+    for TYPE_II on N states in k output classes (Moore 1956: refining the
+    classes by successors settles within N - k rounds), the confusable-pair
+    count for TYPE_IV; None for types I and III."""
+    if kind is ObservabilityType.TYPE_II:
+        return max(network.n_states - len(network.classes), 1)
+    if kind is ObservabilityType.TYPE_IV:
+        return max(confusable_count(network), 1)
+    return None
 
 
 def _unseparated(network: Bcn, entries: list[Entry], word: Sequence[int]) -> list[Entry]:
@@ -119,9 +135,8 @@ def brute_force(
 
     Searches words of length up to the horizon (exactly the horizon for
     TYPE_IV, where longer words only separate more).  The exact flag is
-    true when the searched length is known conclusive: at least N - k for
-    N states in k output classes (Moore's bound) for TYPE_II, the
-    confusable-pair count for TYPE_IV, and sufficient_horizon (from the
+    true when the searched length is known conclusive: at least
+    conclusive_horizon for types II and IV, and sufficient_horizon (from the
     caller, typically exact_oracle_horizon) for types I and III.
     """
     if horizon < 1:
@@ -149,17 +164,12 @@ def brute_force(
     else:
         raise ValueError(f"unknown observability type {kind!r}")
 
-    if kind is ObservabilityType.TYPE_II:
-        exact = searched >= network.n_states - len(network.classes)
-    elif kind is ObservabilityType.TYPE_IV:
-        exact = searched >= len(pairs)
-    else:
-        exact = sufficient_horizon is not None and searched >= sufficient_horizon
+    sufficient = conclusive_horizon(network, kind) or sufficient_horizon
     return OracleVerdict(
         kind=kind,
         horizon=searched,
         observable=observable,
-        exact=exact,
+        exact=sufficient is not None and searched >= sufficient,
         budget_limited=searched < horizon,
     )
 

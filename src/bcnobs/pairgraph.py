@@ -67,26 +67,29 @@ class PairGraph:
         np.cumsum(np.bincount(targets[kept], minlength=self.n_pairs), out=offsets[1:])
         return offsets, order % self.n_pairs
 
-    def predecessors(self, targets: np.ndarray) -> np.ndarray:
-        """The ids stepping into any of the targets, once per edge doing so."""
-        offsets, sources = self.reverse
-        begin = offsets[targets]
-        count = offsets[targets + 1] - begin
-        spans = (begin - (count.cumsum() - count)).repeat(count)
-        return sources[spans + np.arange(spans.size)]
-
-    def distances(self, goals: np.ndarray, first: int) -> np.ndarray:
+    def distances(self, goals: np.ndarray, first: int, every: bool = False) -> np.ndarray:
         """Per pair, first plus the length of a shortest walk into the goals;
-        UNREACHED when there is none.  Breadth-first over reversed edges, one
-        level at a time."""
+        UNREACHED when there is none.  With every, the goals are the pairs with
+        no successor and a pair settles one level after its last successor, not
+        its first: a longest walk, UNREACHED when one is endless.  Breadth-first
+        over reversed edges, one level at a time."""
+        offsets, sources = self.reverse
         dist = np.full(self.n_pairs, UNREACHED, dtype=np.int64)
         dist[goals] = first
+        left = np.count_nonzero(self.succ >= 0, axis=0) if every else None  # successors unsettled
         slot = np.empty(self.n_pairs, dtype=np.int64)
         frontier, level = goals, first
         while frontier.size:
             level += 1
-            found = self.predecessors(frontier)
-            found = found[dist[found] == UNREACHED]
+            begin = offsets[frontier]
+            count = offsets[frontier + 1] - begin
+            spans = (begin - (count.cumsum() - count)).repeat(count)
+            found = sources[spans + np.arange(spans.size)]  # once per edge into the frontier
+            if every:
+                np.subtract.at(left, found, 1)
+                found = found[left[found] == 0]
+            else:
+                found = found[dist[found] == UNREACHED]
             # keep each pair once: of its copies, only the one whose position
             # the scatter left in its slot survives
             slot[found] = np.arange(found.size)
@@ -155,7 +158,8 @@ def build(network: Bcn) -> PairGraph:
     within = np.arange(len(lo)) - np.repeat(first, partners)
     hi = by_class[np.repeat(position, partners) + within] + 1
 
-    a, b = step[:, lo - 1], step[:, hi - 1]
+    # take, unlike step[:, ids], keeps succ in C order: its axis-0 scans run unstrided
+    a, b = step.take(lo - 1, axis=1), step.take(hi - 1, axis=1)
     t_lo, t_hi = np.minimum(a, b), np.maximum(a, b)
     target = first[t_lo - 1] + position[t_hi - 1] - position[t_lo - 1]
     succ = np.where(out[t_lo - 1] == out[t_hi - 1], target, -1)

@@ -11,7 +11,9 @@
 - The id-array searches the library's types II and IV replaced: one word
   tuple per pair (shortest_words, exit_words) and Tarjan over the whole
   pair graph (on_cycle, find_lasso), before the lasso search peeled the
-  pairs with no infinite walk.
+  pairs with no infinite walk; and each pair's longest separation time by
+  plain recursion (separation_times), which the peel's sweep, read with its
+  levels, must give.
 - The logical matrix (LogicalMatrix, a column-index list with its row
   count), the dense semi-tensor product and its index-arithmetic form on
   logical matrices, the independent check that the algebraic form is
@@ -406,6 +408,29 @@ def find_lasso(graph: PairGraph, sources: list[int]) -> Optional[Lasso]:
     first = int(np.argmin(np.where(exits >= 0, dist[exits], UNREACHED)))
     cycle = (first + 1,) + words[exits[first]]
     return Lasso(graph.pairs[source], words[source], cycle)
+
+
+def separation_times(graph: PairGraph) -> list[float]:
+    """Per pair id, its longest separation time: 1 plus the largest time of
+    its successors on the graph, 1 when it has none, math.inf when it can
+    reach a cycle.  The recursion runs depth first on an explicit stack; a
+    successor still on the stack closes a cycle, so it counts as infinite."""
+    rows = [sorted({q for q in column if q >= 0}) for column in graph.succ.T.tolist()]
+    time: list[float] = [0] * graph.n_pairs  # 0 = not visited, -1 = on the stack
+    for root in range(graph.n_pairs):
+        calls = [] if time[root] else [(root, iter(rows[root]))]
+        while calls:
+            p, pending = calls[-1]
+            time[p] = -1
+            for q in pending:
+                if not time[q]:
+                    calls.append((q, iter(rows[q])))
+                    break
+            else:
+                calls.pop()
+                after = (math.inf if time[q] < 0 else time[q] for q in rows[p])
+                time[p] = 1 + max(after, default=0)
+    return time
 
 
 @dataclass(frozen=True)

@@ -113,8 +113,11 @@ def test_bcn_from_columns_requires_known_ordering():
 def test_bcn_validates_shapes():
     ok = (1, 2, 2, 1)
     out = (1, 2)
-    with pytest.raises(ValueError, match="power of two"):
-        Bcn(3, 2, 2, ok, out)
+    for sizes in ((3, 2, 2), (True, 2, 2), (2, True, 2), (2, 2, True), (4.0, 2, 2), ("2", 2, 2)):
+        with pytest.raises(ValueError, match="power of two"):
+            Bcn(*sizes, ok, out)
+    with pytest.raises(ValueError, match="n must be an int"):
+        gen_random_bcn(0, True, 1, 1)
     with pytest.raises(ValueError, match="columns"):
         Bcn(2, 2, 2, (1, 2), out)
     with pytest.raises(ValueError, match="output map column 2 is 3"):

@@ -458,6 +458,47 @@ class TestWriter:
         assert flags, "the writer did not open its file with os.open"
         assert not any(flag & os.O_TRUNC for flag in flags)
 
+    @pytest.mark.parametrize("argv", [
+        ["decide", BCN5, "--type", "II", "--json", "{out}"],
+        ["graph", BCN5, "--dot", "{out}"],
+    ], ids=["decide", "graph"])
+    def test_output_opened_once(self, tmp_path, capsys, monkeypatch, argv):
+        """The file claimed before the work is the one written: one open of
+        the output path per request, by os.open or by open."""
+        target = str(tmp_path / "out")
+        opened = []
+        real_os_open, real_open = os.open, open
+
+        def spy(real):
+            def call(path, *rest, **kwargs):
+                opened.append(path)
+                return real(path, *rest, **kwargs)
+            return call
+
+        monkeypatch.setattr(os, "open", spy(real_os_open))
+        monkeypatch.setattr(cli, "open", spy(real_open), raising=False)
+        assert run_cli([arg.format(out=target) for arg in argv]) == 0
+        capsys.readouterr()
+        assert [str(path) for path in opened].count(target) == 1
+
+    def test_claimed_file_closed_on_fault(self, tmp_path, capsys, monkeypatch):
+        """The report file, open while the deciders run, is closed when one fails."""
+        handles = []
+        real_open = open
+
+        def keep(*args, **kwargs):
+            handles.append(real_open(*args, **kwargs))
+            return handles[-1]
+
+        def broken(network, graph):
+            raise ValueError("shape mismatch")
+
+        monkeypatch.setattr(cli, "open", keep, raising=False)
+        monkeypatch.setitem(DECIDERS, ObservabilityType.TYPE_II, broken)
+        assert run_cli(["decide", BCN5, "--type", "II", "--json", str(tmp_path / "r.json")]) == 3
+        capsys.readouterr()
+        assert len(handles) == 1 and handles[0].closed
+
 
 class TestParserReuse:
     """run_cli builds its parser once per process; no call leaks into the next."""

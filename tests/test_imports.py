@@ -10,6 +10,9 @@ bcnobs.bcnio alone; every other module sees the one layout Bcn stores.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bcnobs
@@ -38,13 +41,22 @@ def package_imports(path: Path) -> set[tuple[str, tuple[str, ...]]]:
 
 def test_oracle_imports_only_the_network_and_type_names():
     imports = package_imports(PACKAGE / "oracle.py")
-    assert imports == {
-        ("bcnobs.bcn", ("Bcn",)),
-        ("bcnobs.observability", ("ObservabilityType",)),
-    }
-    for module, names in imports:
-        for banned in ("pairgraph", "automata"):
-            assert banned not in module.split(".") and banned not in names
+    assert imports == {("bcnobs.bcn", ("Bcn", "ObservabilityType"))}
+
+
+def test_oracle_loads_no_graph_machinery():
+    """A fresh interpreter importing the oracle loads neither numpy nor any
+    module of the deciders."""
+    probe = "import sys, bcnobs.oracle; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "bcnobs.oracle" in loaded
+    banned = {"numpy", "bcnobs.pairgraph", "bcnobs.automata", "bcnobs.observability"}
+    assert not loaded & banned
 
 
 def test_no_scalar_steps_in_the_package():

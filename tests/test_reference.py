@@ -2,8 +2,10 @@
 walk and replay, against the code they replaced (tests/reference.py), and the
 reference's own behaviour."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,7 +20,7 @@ from bcnobs.observability import (
     type_automata,
 )
 from bcnobs.oracle import brute_force, confusable_pairs, verify_witness
-from bcnobs.pairgraph import build
+from bcnobs.pairgraph import UNREACHED, build
 
 import reference
 from pairviews import PairVertex, as_vertices, pair_vertices
@@ -223,6 +225,21 @@ def test_peeled_searches_match_full_graph():
         outcomes.add((network.n_states, ii.observable, new.observable))
     # both outcomes of both deciders, and a lasso and words at 4,096 states
     assert {(4096, True, True), (4096, True, False), (2, False, False)} <= outcomes
+
+
+def test_longest_walk_sweep_matches_recursion():
+    """distances with every, levels included, against each pair's longest
+    separation time by plain recursion, an infinite one read as UNREACHED,
+    on small random networks and the ladder up to 4,096 states."""
+    levels = set()
+    for label, network in list(_random_networks(600)) + _ladder():
+        graph = build(network)
+        no_successor = np.flatnonzero((graph.succ < 0).all(axis=0))
+        swept = graph.distances(no_successor, 1, every=True).tolist()
+        times = reference.separation_times(graph)
+        assert swept == [UNREACHED if t == math.inf else t for t in times], label
+        levels.update(swept)
+    assert {1, 2, 3, UNREACHED} <= levels
 
 
 def test_horizon_from_pruned_search_against_full_machines():
